@@ -19,6 +19,7 @@ from .bounds import (
 from .errors import (
     InconsistentRamification,
     InvalidDegree,
+    InvalidSetting,
     NotASimpleRoot,
     NotMonic,
     PrecisionUnderflow,
@@ -30,11 +31,10 @@ from .errors import (
     ZeroElement,
 )
 from .laurent import LaurentSeries, expand_ratfunc, hensel_lift, quartic_roots
-from .polynomials import LAM, Poly, RatFunc, poly_divmod, poly_gcd
+from .polynomials import LAM, Poly, RatFunc, poly_gcd
 from .quartic import (
     ALPHA,
     RingElem,
-    coefficients,
     conjugates,
     elem_from_xy,
     f_lambda_eval,
@@ -69,6 +69,7 @@ __all__ = [
     "Certificate",
     "InconsistentRamification",
     "InvalidDegree",
+    "InvalidSetting",
     "LAM",
     "LaurentSeries",
     "NotASimpleRoot",
@@ -87,7 +88,6 @@ __all__ = [
     "ZeroElement",
     "admissible_exponents",
     "bound_report",
-    "coefficients",
     "conjugates",
     "discriminant",
     "elem_from_xy",
@@ -98,7 +98,6 @@ __all__ = [
     "hensel_lift",
     "mason_abc_bound",
     "norm",
-    "poly_divmod",
     "poly_gcd",
     "quartic_roots",
     "resultant",

@@ -3,7 +3,8 @@
 Subcommands: roots, bounds, search, solve, verify.  All output is
 deterministic; JSON is rendered with sorted keys so a parse/serialize
 round trip is byte-identical.  Exit codes: 0 success, 1 failed
-reproduction, 2 usage error (argparse's convention).
+reproduction, 2 bad input (a usage error, an invalid setting, or an
+unwritable ``--out``), reported on one ``thueff: error: ...`` line.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 
 from . import bounds, laurent, search
-from .errors import ReproductionFailure
+from .errors import ReproductionFailure, ThueffError
 
 
 def render_json(payload) -> str:
@@ -115,8 +116,23 @@ def _cmd_verify(args) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.exit(2, f"thueff: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thueff",
         description=(
             "Exact solver for the quartic family "
@@ -127,13 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, order=False, a=False, jobs=False):
         if order:
-            p.add_argument("--order", type=int, default=laurent.DEFAULT_ORDER,
+            p.add_argument("--order", type=_positive_int, default=laurent.DEFAULT_ORDER,
                            help="series truncation order")
         if a:
-            p.add_argument("--a", type=int, default=1,
+            p.add_argument("--a", type=_positive_int, default=1,
                            help="degree of λ in the ground variable")
         if jobs:
-            p.add_argument("--jobs", type=int, default=1,
+            p.add_argument("--jobs", type=_positive_int, default=1,
                            help="parallel workers for the exponent scan")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write output to this file")
@@ -163,7 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ReproductionFailure:
+        raise  # a failed reproduction is exit 1, not bad input
+    except (ThueffError, OSError) as exc:
+        print(f"thueff: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

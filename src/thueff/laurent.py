@@ -33,7 +33,7 @@ import os
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import NotASimpleRoot, PrecisionUnderflow, ZeroDivisor
+from .errors import InvalidSetting, NotASimpleRoot, PrecisionUnderflow, ZeroDivisor
 from .polynomials import Poly, RatFunc
 
 #: Working order used when a caller does not request one.
@@ -48,9 +48,14 @@ def precision_cap() -> int:
     raw = os.environ.get("THUEFF_PRECISION_CAP")
     if raw is None:
         return PRECISION_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap < 1:
-        raise ValueError("THUEFF_PRECISION_CAP must be a positive integer")
+        raise InvalidSetting(
+            f"THUEFF_PRECISION_CAP must be a positive integer, got {raw!r}"
+        )
     return cap
 
 
@@ -299,28 +304,6 @@ def zero_to_order(order: int) -> LaurentSeries:
     return LaurentSeries(order, (), order)
 
 
-_SERIES_BINOPS = {
-    "add": LaurentSeries.__add__,
-    "sub": LaurentSeries.__sub__,
-    "mul": LaurentSeries.__mul__,
-}
-
-
-def series_arith(op: str, a: LaurentSeries, b: Optional[LaurentSeries] = None):
-    """Named-operation dispatcher: add/sub/mul (binary) or inv (unary)."""
-    if op == "inv":
-        if b is not None:
-            raise ValueError("inv is unary")
-        return a.inv()
-    try:
-        fn = _SERIES_BINOPS[op]
-    except KeyError:
-        raise ValueError(f"unknown series operation {op!r}") from None
-    if b is None:
-        raise ValueError(f"{op} needs two operands")
-    return fn(a, b)
-
-
 def poly_series(p: Poly, order: int) -> LaurentSeries:
     """A polynomial in lam as an exact series (lead = -deg p)."""
     if not p:
@@ -460,8 +443,3 @@ def f_lambda_at_series(x: LaurentSeries) -> LaurentSeries:
     x3 = x2 * x
     x4 = x2 * x2
     return x4 - lam * x3 - x2.scale(6) + lam * x + one
-
-
-def f_tilde_at_series(x: LaurentSeries) -> LaurentSeries:
-    """The lam-divided quartic at a series X; the Hensel residual."""
-    return _f_tilde(x, x.order)

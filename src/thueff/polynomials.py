@@ -227,11 +227,6 @@ ZERO = Poly()
 ONE = Poly((1,))
 
 
-def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder with deg(rem) < deg(b)."""
-    return divmod(a, b)
-
-
 def _int_primitive(p: Poly) -> list[int]:
     """Integer coefficient list of p scaled primitive (positive lead)."""
     scale = 1
@@ -387,9 +382,6 @@ class RatFunc:
     def __bool__(self) -> bool:
         return bool(self._num)
 
-    def is_polynomial(self) -> bool:
-        return self._den == ONE
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other) -> RatFunc:
@@ -531,19 +523,3 @@ LAM_RF = RatFunc(LAM)
 
 RF_ZERO = RatFunc(0)
 RF_ONE = RatFunc(1)
-
-_RATFUNC_OPS = {
-    "add": RatFunc.__add__,
-    "sub": RatFunc.__sub__,
-    "mul": RatFunc.__mul__,
-    "div": RatFunc.__truediv__,
-}
-
-
-def ratfunc_arith(op: str, a: RatFunc, b: RatFunc) -> RatFunc:
-    """Named-operation dispatcher: op in {add, sub, mul, div}."""
-    try:
-        fn = _RATFUNC_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown rational-function operation {op!r}") from None
-    return fn(a, b)

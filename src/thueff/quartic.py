@@ -269,11 +269,6 @@ def f_lambda_eval(x: Poly, y: Poly) -> RatFunc:
     return RatFunc(value)
 
 
-def coefficients(a: RingElem) -> tuple[RatFunc, RatFunc, RatFunc, RatFunc]:
-    """Power-basis coordinates (c0, c1, c2, c3)."""
-    return a.coeffs
-
-
 def min_poly_value(a: RingElem) -> RingElem:
     """a^4 - lam*a^3 - 6*a^2 + lam*a + 1; zero exactly on the conjugates."""
     lam = RatFunc(LAM)

@@ -10,11 +10,12 @@ whose power-basis coordinates satisfy c2 = c3 = 0.  The height chain in
     max(0,-r) + max(0,-s) + max(0,-t) + max(0, r+s+t) <= budget
 
 (budget 10 certifies every lam; each coordinate is bounded by the budget,
-so the box enumeration loses nothing).  The scan works with coefficient
-vectors over Z[lam], scaled by the positive denominator 4**k that the
-inverse units carry -- the c2 = c3 = 0 test is scale-invariant, and
-integer convolutions keep the full box cheap.  ``verify_theorem`` reruns
-the whole pipeline and emits a machine-checkable certificate.
+so the box enumeration loses nothing).  The scan runs in the image of the
+ring under lam -> LAM0 modulo the prime P, where a ring element is four
+machine-size residues; a nonzero residue of c2 or c3 rules a triple out,
+and every survivor is confirmed in the exact ring of ``quartic``.
+``verify_theorem`` reruns the whole pipeline and emits a
+machine-checkable certificate.
 """
 
 from __future__ import annotations
@@ -60,132 +61,69 @@ def admissible_exponents(budget: int = bounds.EXPONENT_BUDGET) -> list[Triple]:
     return out
 
 
-# -- integer fast path ---------------------------------------------------------
+# -- the scan: a modular image of the exact ring --------------------------------
 #
-# Ring elements up to a positive scalar: 4-tuples of ascending integer
-# coefficient lists over Z[lam].  Same rewrite rule as ``quartic``, no
-# Fraction overhead.  Cross-validated against the exact ring in the tests
-# and (for every reported triple) in the certificate.
+# lam -> LAM0 followed by reduction modulo the prime P is a ring
+# homomorphism on the elements of Q(lam)[alpha]/(f) whose coefficients
+# are defined at LAM0 and have denominators prime to P; that includes
+# Z[1/2][lam][alpha]/(f), where every unit of the box lives.  A ring element
+# becomes a 4-tuple of residues.  A nonzero residue of c2 or c3 proves the
+# exact coordinate nonzero, so a rejected triple is rejected soundly; a
+# surviving triple is confirmed in the exact ring before it is reported.
+# The rewrite rule and the unit inverses are read from ``quartic``.
 
-IPoly = list
+P = 2**61 - 1
+LAM0 = 1234567
 
-
-def _ipadd(a: IPoly, b: IPoly) -> IPoly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] += x
-    while out and not out[-1]:
-        out.pop()
-    return out
+Residues = tuple[int, int, int, int]
 
 
-def _ipscale(a: IPoly, k: int) -> IPoly:
-    return [x * k for x in a] if k else []
+def _residue(c: RatFunc) -> int:
+    value = c.num(LAM0) / c.den(LAM0)
+    return value.numerator * pow(value.denominator, -1, P) % P
 
 
-def _ipshift(a: IPoly) -> IPoly:
-    """Multiply by lam."""
-    return [0] + a if a else []
+def _image(coeffs) -> Residues:
+    return tuple(_residue(c) for c in coeffs)
 
 
-def _ipmul(a: IPoly, b: IPoly) -> IPoly:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
+def _mul(a: Residues, b: Residues, row: Residues) -> Residues:
+    """Product in the image: convolve, then fold alpha^6..alpha^4 with ``row``."""
+    vec = [0] * 7
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] += x * y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-IVec = tuple
-
-
-def _ivec_mul(a: IVec, b: IVec) -> IVec:
-    vec = [[] for _ in range(7)]
-    for i in range(4):
-        if a[i]:
-            for j in range(4):
-                if b[j]:
-                    vec[i + j] = _ipadd(vec[i + j], _ipmul(a[i], b[j]))
-    # alpha^k = alpha^(k-4) * (lam*alpha^3 + 6*alpha^2 - lam*alpha - 1)
-    for k in range(6, 3, -1):
-        c = vec[k]
+                vec[i + j] += x * y
+    for k in (6, 5, 4):
+        c = vec[k] % P
         if c:
-            lam_c = _ipshift(c)
-            vec[k - 4] = _ipadd(vec[k - 4], _ipscale(c, -1))
-            vec[k - 3] = _ipadd(vec[k - 3], _ipscale(lam_c, -1))
-            vec[k - 2] = _ipadd(vec[k - 2], _ipscale(c, 6))
-            vec[k - 1] = _ipadd(vec[k - 1], lam_c)
-        vec[k] = []
-    return tuple(vec[:4])
+            for j in range(4):
+                vec[k - 4 + j] += c * row[j]
+    return tuple(x % P for x in vec[:4])
 
 
-_IVEC_ONE: IVec = ([1], [], [], [])
-
-# Scaled integer models of the generators and their inverses:
-#   4 * (alpha-1)^-1 = alpha^3 + (1-lam)*alpha^2 - (5+lam)*alpha - 5
-#       alpha^-1     = -alpha^3 + lam*alpha^2 + 6*alpha - lam
-#   4 * (alpha+1)^-1 = alpha^3 - (lam+1)*alpha^2 + (lam-5)*alpha + 5
-_IVEC_GEN: tuple[IVec, ...] = (
-    ([-1], [1], [], []),
-    ([], [1], [], []),
-    ([1], [1], [], []),
-)
-_IVEC_GEN_INV: tuple[IVec, ...] = (
-    ([-5], [-5, -1], [1, -1], [1]),
-    ([0, -1], [6], [0, 1], [-1]),
-    ([5], [-5, 1], [-1, -1], [1]),
-)
-
-_table_cache: dict[int, tuple[dict[int, IVec], ...]] = {}
-
-
-def _power_tables(limit: int) -> tuple[dict[int, IVec], ...]:
-    """exponent -> scaled generator power, for each of the three generators."""
-    cached = _table_cache.get(limit)
-    if cached is not None:
-        return cached
+def _power_tables(limit: int) -> tuple[Residues, tuple[dict[int, Residues], ...]]:
+    """The rewrite row's image, and exponent -> image of each generator's power."""
+    row = _image(quartic.REWRITE_ROW)
+    one = (1, 0, 0, 0)
     tables = []
-    for which in range(3):
-        tab = {0: _IVEC_ONE}
+    for base, inv_base in quartic._unit_bases():
+        b, ib = _image(base.coeffs), _image(inv_base.coeffs)
+        tab = {0: one}
         for e in range(1, limit + 1):
-            tab[e] = _ivec_mul(tab[e - 1], _IVEC_GEN[which])
-            tab[-e] = _ivec_mul(tab[-(e - 1)], _IVEC_GEN_INV[which])
+            tab[e] = _mul(tab[e - 1], b, row)
+            tab[-e] = _mul(tab[-(e - 1)], ib, row)
         tables.append(tab)
-    result = tuple(tables)
-    _table_cache[limit] = result
-    return result
-
-
-def _scaled_unit(r: int, s: int, t: int, limit: int) -> IVec:
-    """4**(neg exponents) * (alpha-1)^r * alpha^s * (alpha+1)^t over Z[lam]."""
-    t0, t1, t2 = _power_tables(limit)
-    return _ivec_mul(_ivec_mul(t0[r], t1[s]), t2[t])
-
-
-def scaled_unit_elem(r: int, s: int, t: int) -> quartic.RingElem:
-    """The integer-path unit, descaled back to the exact ring element.
-
-    Only the inverses of alpha-1 and alpha+1 carry the scalar 4, so the
-    accumulated scale is 4 to the number of their negative exponents.
-    """
-    limit = max(abs(r), abs(s), abs(t), 1)
-    vec = _scaled_unit(r, s, t, limit)
-    scale = Fraction(1, 4 ** (max(0, -r) + max(0, -t)))
-    return quartic.RingElem.of(*(RatFunc(Poly(c)) * scale for c in vec))
+    return row, tuple(tables)
 
 
 def _scan_chunk(payload: tuple[int, list[Triple]]) -> list[Triple]:
+    """The triples whose unit has c2 = c3 = 0 in the image (a superset of the hits)."""
     limit, triples = payload
+    row, (t0, t1, t2) = _power_tables(limit)
     found = []
     for r, s, t in triples:
-        vec = _scaled_unit(r, s, t, limit)
+        vec = _mul(_mul(t0[r], t1[s], row), t2[t], row)
         if not vec[2] and not vec[3]:
             found.append((r, s, t))
     return found
@@ -194,25 +132,31 @@ def _scan_chunk(payload: tuple[int, list[Triple]]) -> list[Triple]:
 def search_trivial_units(
     budget: int = bounds.EXPONENT_BUDGET, jobs: int = 1
 ) -> list[Triple]:
-    """Scan every admissible triple for units with c2 = c3 = 0.
+    """Every admissible triple whose unit has c2 = c3 = 0, exactly.
 
-    The result is sorted lexicographically and does not depend on the
-    enumeration order or on how the triple space is partitioned.
+    The modular scan rejects the rest; each survivor is confirmed with
+    ``quartic.unit_from_exponents``.  The result is sorted lexicographically
+    and does not depend on the enumeration order, on how the triple space is
+    partitioned, or on the choice of P and LAM0.
     """
     triples = admissible_exponents(budget)
     limit = max(budget, 1)
     if jobs <= 1 or len(triples) < 64:
-        found = _scan_chunk((limit, triples))
+        survivors = _scan_chunk((limit, triples))
     else:
-        _power_tables(limit)  # build before forking so workers inherit it
         chunk = (len(triples) + jobs - 1) // jobs
         payloads = [
             (limit, triples[i : i + chunk]) for i in range(0, len(triples), chunk)
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_scan_chunk, payloads))
-        found = [t for part in parts for t in part]
-    return sorted(found)
+        survivors = [t for part in parts for t in part]
+    found = []
+    for triple in sorted(survivors):
+        beta = quartic.unit_from_exponents(*triple)
+        if not beta.c2 and not beta.c3:
+            found.append(triple)
+    return found
 
 
 # -- solution classes ----------------------------------------------------------
@@ -360,8 +304,10 @@ def verify_theorem(
 
     Raises ReproductionFailure (with the certificate attached) if any
     check fails; a reduced budget is not a failure but is noted, and the
-    expected-set check weakens to containment in the trivial set.
+    expected-set check weakens to containment in the trivial set.  A bad
+    THUEFF_PRECISION_CAP raises InvalidSetting before any check runs.
     """
+    laurent.precision_cap()
     checks: list[CheckResult] = []
     notes: list[str] = []
 
@@ -568,12 +514,19 @@ def verify_theorem(
         ) and is_admissible(10, -10, 0) and budget_cost(-11, 0, 0) == 11,
     )
 
-    found = search_trivial_units(budget=budget, jobs=jobs)
+    # The scan runs inside its check: a ring whose tables cannot be built
+    # turns this check red and leaves ``found`` empty.
+    found: list[Triple] = []
+
+    def scan() -> list[Triple]:
+        found.extend(search_trivial_units(budget=budget, jobs=jobs))
+        return found
+
     if budget == bounds.EXPONENT_BUDGET:
         check(
             "search-trivial-set",
             "exactly the four trivial units",
-            lambda: tuple(found) == TRIVIAL_TRIPLES,
+            lambda: tuple(scan()) == TRIVIAL_TRIPLES,
         )
     else:
         notes.append(
@@ -582,7 +535,7 @@ def verify_theorem(
         check(
             "search-trivial-set",
             "subset of the trivial units (reduced budget)",
-            lambda: set(found) <= set(TRIVIAL_TRIPLES),
+            lambda: set(scan()) <= set(TRIVIAL_TRIPLES),
         )
 
     def found_units_exact() -> bool:

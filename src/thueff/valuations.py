@@ -111,13 +111,6 @@ def height_infinity(a: RingElem, start_order: int | None = None) -> int:
     return valuation_vector(a, start_order).height
 
 
-def ratio_valuation_vector(
-    a: RingElem, b: RingElem, start_order: int | None = None
-) -> ValuationVector:
-    """Valuation vector of a/b, computed without ring division."""
-    return valuation_vector(a, start_order) - valuation_vector(b, start_order)
-
-
 def unit_valuation_identity(r: int, s: int, t: int) -> ValuationVector:
     """Closed-form vector of (alpha-1)^r * alpha^s * (alpha+1)^t.
 

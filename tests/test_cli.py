@@ -150,6 +150,33 @@ def test_usage_errors_exit_two(capsys):
     assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["roots", "--order", "0"], None),
+        (["bounds", "--a", "0"], None),
+        (["search", "--jobs", "-2"], None),
+        (["verify", "--order", "0"], None),
+        (["roots", "--order", "2", "--out", "/nonexistent/dir/x"], None),
+        (["verify"], "abc"),
+    ],
+    ids=["order-zero", "a-zero", "jobs-negative", "verify-order-zero", "out-unwritable",
+         "precision-cap-not-a-number"],
+)
+def test_bad_input_exits_two_with_one_line(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("THUEFF_PRECISION_CAP", env)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("thueff: error: ")
+
+
 # -- file output ------------------------------------------------------------------------
 
 

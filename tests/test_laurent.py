@@ -14,19 +14,17 @@ import pytest
 
 import conftest
 import property_suites
-from thueff.errors import NotASimpleRoot, PrecisionUnderflow, ZeroDivisor
+from thueff.errors import InvalidSetting, NotASimpleRoot, PrecisionUnderflow, ZeroDivisor
 from thueff.laurent import (
     LaurentSeries,
-    constant,
     expand_ratfunc,
+    _f_tilde,
     f_lambda_at_series,
-    f_tilde_at_series,
     hensel_lift,
     monomial,
     poly_series,
     precision_cap,
     quartic_roots,
-    series_arith,
     zero_to_order,
 )
 from thueff.polynomials import LAM, ONE, Poly, RatFunc
@@ -49,7 +47,7 @@ def test_mul_by_monomial_shifts_root_window():
 
 def test_add_own_negation_is_zero_to_order():
     s = LaurentSeries(-1, [2, 0, 7, 1], 3)
-    total = series_arith("add", s, s.scale(-1))
+    total = s + s.scale(-1)
     assert not total.resolved
     assert total.order == 3
 
@@ -65,16 +63,6 @@ def test_pow_matches_repeated_product():
 def test_inv_of_zero_window_raises():
     with pytest.raises(ZeroDivisor):
         zero_to_order(4).inv()
-
-
-def test_series_arith_dispatch_errors():
-    s = constant(1, 4)
-    with pytest.raises(ValueError):
-        series_arith("inv", s, s)
-    with pytest.raises(ValueError):
-        series_arith("add", s)
-    with pytest.raises(ValueError):
-        series_arith("compose", s, s)
 
 
 # -- expansion of rational functions ----------------------------------------------
@@ -161,7 +149,7 @@ def test_roots_pairwise_distinct_at_order_one():
 def test_root_residuals_vanish_to_precision():
     for order in (4, 8, 16):
         for s in quartic_roots(order):
-            tilde = f_tilde_at_series(s)
+            tilde = _f_tilde(s, s.order)
             full = f_lambda_at_series(s)
             assert not tilde.resolved
             assert tilde.order >= order - 2
@@ -207,9 +195,10 @@ def test_precision_cap_environment_override(monkeypatch):
     assert precision_cap() == 1024
     monkeypatch.setenv("THUEFF_PRECISION_CAP", "64")
     assert precision_cap() == 64
-    monkeypatch.setenv("THUEFF_PRECISION_CAP", "zero")
-    with pytest.raises(ValueError):
-        precision_cap()
+    for bad in ("zero", "abc", "0", "-3"):
+        monkeypatch.setenv("THUEFF_PRECISION_CAP", bad)
+        with pytest.raises(InvalidSetting):
+            precision_cap()
 
 
 # -- text and JSON forms -------------------------------------------------------------

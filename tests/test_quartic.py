@@ -23,7 +23,6 @@ from thueff.quartic import (
     REWRITE_ROW,
     ZERO,
     RingElem,
-    coefficients,
     conjugates,
     elem_from_xy,
     f_lambda_eval,
@@ -76,7 +75,7 @@ def test_inverse_of_alpha_plus_one_against_mul_oracle():
 
 
 def test_inverse_of_alpha_plus_one_coefficients():
-    c0, c1, c2, c3 = coefficients(ring_inv(ALPHA + ONE))
+    c0, c1, c2, c3 = ring_inv(ALPHA + ONE).coeffs
     assert c0 == RatFunc(Poly((Fraction(5, 4),)))
     assert c1 == RatFunc(Poly((Fraction(-5, 4), Fraction(1, 4))))
     assert c2 == RatFunc(Poly((Fraction(-1, 4), Fraction(-1, 4))))
@@ -192,9 +191,9 @@ def test_f_lambda_eval_pinned():
 
 
 def test_coefficients_pinned():
-    assert coefficients(ALPHA - ONE) == (RatFunc(-1), RatFunc(1), RatFunc(0), RatFunc(0))
+    assert (ALPHA - ONE).coeffs == (RatFunc(-1), RatFunc(1), RatFunc(0), RatFunc(0))
     square = ring_mul(ALPHA - ONE, ALPHA - ONE)
-    assert coefficients(square) == (RatFunc(1), RatFunc(-2), RatFunc(1), RatFunc(0))
+    assert square.coeffs == (RatFunc(1), RatFunc(-2), RatFunc(1), RatFunc(0))
 
 
 # -- units from exponent triples ------------------------------------------------------

@@ -1,10 +1,11 @@
 """The exponent-triple search and the end-to-end certificate.
 
 The enumeration oracle is a direct brute-force loop over the search box,
-written before anything else is trusted. The fast integer path behind
-the scan is cross-checked against exact ring arithmetic; the certificate
-is exercised clean, with a reduced budget, and with a deliberately
-corrupted rewrite rule (which the Siegel check must catch).
+written before anything else is trusted. The scan's modular image is
+checked against the residues of exact units, and a false modular
+survivor must be dropped by the exact confirmation; the certificate is
+exercised clean, with a reduced budget, and with two corrupted rewrite
+rules (caught at the Siegel check and at the search check).
 """
 
 import random
@@ -15,13 +16,12 @@ from thueff import quartic, search, valuations
 from thueff.bounds import EXPONENT_BUDGET
 from thueff.errors import ReproductionFailure
 from thueff.polynomials import LAM, RatFunc
-from thueff.quartic import coefficients, norm, unit_from_exponents
+from thueff.quartic import norm, unit_from_exponents
 from thueff.search import (
     TRIVIAL_TRIPLES,
     admissible_exponents,
     budget_cost,
     is_admissible,
-    scaled_unit_elem,
     search_trivial_units,
     solution_classes,
     verify_theorem,
@@ -74,14 +74,22 @@ def test_admissible_smaller_budgets_nest():
         assert set(admissible_exponents(budget)) <= big
 
 
-# -- the integer fast path used by the scan ------------------------------------------
+# -- the modular image used by the scan ---------------------------------------------
 
 
-def test_scaled_units_match_exact_ring_arithmetic():
+def test_residue_image_matches_scan_tables():
+    row, (t0, t1, t2) = search._power_tables(2)
     for r in range(-2, 3):
         for s in range(-2, 3):
             for t in range(-2, 3):
-                assert scaled_unit_elem(r, s, t) == unit_from_exponents(r, s, t)
+                product = search._mul(search._mul(t0[r], t1[s], row), t2[t], row)
+                assert search._image(unit_from_exponents(r, s, t).coeffs) == product
+
+
+def test_exact_confirmation_drops_a_false_modular_survivor(monkeypatch):
+    scan = search._scan_chunk
+    monkeypatch.setattr(search, "_scan_chunk", lambda payload: scan(payload) + [(2, 0, 0)])
+    assert search_trivial_units() == list(TRIVIAL_TRIPLES)
 
 
 # -- the search itself -----------------------------------------------------------------
@@ -93,10 +101,9 @@ def test_full_search_finds_exactly_the_trivial_set():
 
 def test_trivial_set_membership_is_about_high_coefficients():
     beta = unit_from_exponents(1, 0, 0)
-    c0, c1, c2, c3 = coefficients(beta)
-    assert (c2, c3) == (RatFunc(0), RatFunc(0))
+    assert (beta.c2, beta.c3) == (RatFunc(0), RatFunc(0))
     square = unit_from_exponents(2, 0, 0)
-    assert coefficients(square)[2] == RatFunc(1)
+    assert square.c2 == RatFunc(1)
     assert (2, 0, 0) in admissible_exponents(10)
     assert (2, 0, 0) not in search_trivial_units()
 
@@ -219,4 +226,26 @@ def test_tampered_rewrite_rule_is_caught_at_the_siegel_check():
         quartic.clear_caches()
         valuations.clear_caches()
     # the restored ring is healthy again
+    assert verify_theorem().passed
+
+
+def test_all_zero_rewrite_rule_is_caught_at_the_search_check():
+    # alpha^4 = 0 makes alpha a zero divisor: the unit inverses, and so
+    # the scan's tables, cannot be built.
+    original = quartic.REWRITE_ROW
+    quartic.REWRITE_ROW = (RatFunc(0),) * 4
+    quartic.clear_caches()
+    valuations.clear_caches()
+    try:
+        with pytest.raises(ReproductionFailure) as exc_info:
+            verify_theorem()
+        cert = exc_info.value.certificate
+        assert "search-trivial-set" in cert.failed_names
+        scan = next(c for c in cert.checks if c.name == "search-trivial-set")
+        assert "SingularSystem" in scan.detail
+        assert cert.triples_found == []
+    finally:
+        quartic.REWRITE_ROW = original
+        quartic.clear_caches()
+        valuations.clear_caches()
     assert verify_theorem().passed

@@ -1,0 +1,32 @@
+"""What the benchmark harness in ``perfbench/`` reaches into.
+
+``perfbench`` wraps and calls a few private names of the package and
+runs the verifier with ``jobs=1``.  These tests pin that surface, so a
+simplification that would break the benchmark fails here first.
+"""
+
+from thueff import cli, quartic, search, valuations
+from thueff.search import TRIVIAL_TRIPLES
+
+
+def test_scan_chunk_takes_limit_and_triples_and_returns_survivors():
+    triples = search.admissible_exponents(3)
+    assert sorted(search._scan_chunk((3, triples))) == list(TRIVIAL_TRIPLES)
+
+
+def test_private_tables_and_caches_exist():
+    assert callable(valuations._root_powers)
+    assert len(quartic.REWRITE_ROW) == 4
+    assert callable(quartic.clear_caches)
+    assert callable(valuations.clear_caches)
+
+
+def test_verify_runs_with_one_job():
+    cert = search.verify_theorem(jobs=1)
+    assert cert.passed
+    assert cert.triples_found == list(TRIVIAL_TRIPLES)
+
+
+def test_cli_verify_json_with_one_job(capsys):
+    assert cli.main(["verify", "--format", "json", "--jobs", "1"]) == 0
+    assert '"passed": true' in capsys.readouterr().out
