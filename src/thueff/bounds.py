@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InconsistentRamification, InvalidDegree, NotMonic
-from .polynomials import LAM, ONE, Poly, RatFunc, bareiss_det, poly_gcd
+from .polynomials import LAM, ONE, Poly, RatFunc, bareiss_det, clear_denominators
 
 #: Uniform-in-a exponent cap (largest integer below 11 - 4/a for all a >= 1).
 EXPONENT_BUDGET = 10
@@ -51,15 +51,9 @@ def _det(matrix: list[list[RatFunc]]) -> RatFunc:
     scale = ONE
     rows: list[list[Poly]] = []
     for row in matrix:
-        row_scale = ONE
-        for e in row:
-            d = e.den
-            if d != ONE:
-                row_scale = row_scale // poly_gcd(row_scale, d) * d
-        if row_scale == ONE:
-            rows.append([e.num for e in row])
-        else:
-            rows.append([e.num * (row_scale // e.den) for e in row])
+        poly_row, row_scale = clear_denominators(row)
+        rows.append(poly_row)
+        if row_scale != ONE:
             scale = scale * row_scale
     det = bareiss_det(rows)
     if not det:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as gcd_int
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import UndefinedGcd, ZeroDivisor
 
@@ -328,6 +328,18 @@ def bareiss_det(rows: list[list[Poly]]) -> Poly:
         prev = pivot
     det = m[n - 1][n - 1]
     return -det if sign < 0 else det
+
+
+def clear_denominators(row: Sequence[RatFunc]) -> tuple[list[Poly], Poly]:
+    """The row times the lcm of its denominators, and that lcm."""
+    scale = ONE
+    for e in row:
+        d = e.den
+        if d != ONE:
+            scale = scale // poly_gcd(scale, d) * d
+    if scale == ONE:
+        return [e.num for e in row], scale
+    return [e.num * (scale // e.den) for e in row], scale
 
 
 class RatFunc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import SingularSystem, ZeroDivisor
-from .polynomials import LAM, ONE as _P_ONE, Poly, RatFunc, bareiss_det, poly_gcd
+from .polynomials import LAM, Poly, RatFunc, bareiss_det, clear_denominators
 
 #: Coefficients of alpha^4 on the power basis (the rewrite rule).
 REWRITE_ROW = (RatFunc(-1), RatFunc(-LAM), RatFunc(6), RatFunc(LAM))
@@ -157,18 +157,7 @@ def _solve(matrix: list[list[RatFunc]], rhs: list[RatFunc]) -> list[RatFunc]:
     elimination step.
     """
     n = len(matrix)
-    rows: list[list[Poly]] = []
-    for row, r in zip(matrix, rhs):
-        entries = list(row) + [r]
-        scale = _P_ONE
-        for e in entries:
-            d = e.den
-            if d != _P_ONE:
-                scale = scale // poly_gcd(scale, d) * d
-        if scale == _P_ONE:
-            rows.append([e.num for e in entries])
-        else:
-            rows.append([e.num * (scale // e.den) for e in entries])
+    rows = [clear_denominators([*row, r])[0] for row, r in zip(matrix, rhs)]
     det = bareiss_det([row[:n] for row in rows])
     if not det:
         raise SingularSystem("singular 4x4 system in ring inversion")

@@ -15,7 +15,9 @@ ring under lam -> LAM0 modulo the prime P, where a ring element is four
 machine-size residues; a nonzero residue of c2 or c3 rules a triple out,
 and every survivor is confirmed in the exact ring of ``quartic``.
 ``verify_theorem`` reruns the whole pipeline and emits a
-machine-checkable certificate.
+machine-checkable certificate; it reads its series roots from the root
+table in ``valuations``, so the roots it certifies are the ones every
+valuation check uses.
 """
 
 from __future__ import annotations
@@ -325,8 +327,10 @@ def verify_theorem(
 
     alpha = quartic.ALPHA
 
-    # Series roots match the pinned expansions.
-    roots = laurent.quartic_roots(max(order, 4))
+    # Series roots match the pinned expansions.  They come truncated from the
+    # valuation table at the Siegel check's depth (deeper lifts agree).
+    depth = max(order, 4) + 4
+    roots = tuple(row[1].truncate(depth - 4) for row in valuations._root_powers(depth))
 
     def roots_match() -> bool:
         for root, (lead, window) in zip(roots, _expected_root_windows()):
@@ -395,7 +399,6 @@ def verify_theorem(
         # zero under any rewrite row whatsoever, so only this mixed form
         # can certify that the ring tables match the actual roots.)
         conj = quartic.conjugates()
-        depth = max(order, 4) + 4
         diffs = (roots[1] - roots[2], roots[2] - roots[0], roots[0] - roots[1])
         for x, y in ((Poly((3,)), Poly((1,))), (Poly((0, 1)), Poly((2,))),
                      (Poly((1, 1)), Poly((0, 0, 1)))):
@@ -538,21 +541,18 @@ def verify_theorem(
             lambda: set(scan()) <= set(TRIVIAL_TRIPLES),
         )
 
-    def found_units_exact() -> bool:
-        for triple in found:
-            beta = quartic.unit_from_exponents(*triple)
-            if beta.c2 or beta.c3:
-                return False
-            vec = valuations.valuation_vector(beta)
-            if vec != valuations.unit_valuation_identity(*triple):
-                return False
-        return True
+    # The two checks of the hits fail, not pass vacuously, when none was confirmed.
+    def found_unit_exact(triple: Triple) -> bool:
+        beta = quartic.unit_from_exponents(*triple)
+        return (not beta.c2 and not beta.c3 and valuations.valuation_vector(beta)
+                == valuations.unit_valuation_identity(*triple))
 
-    check("found-units-exact", "ring arithmetic confirms every hit", found_units_exact)
+    check("found-units-exact", "ring arithmetic confirms every hit",
+          lambda: bool(found) and all(map(found_unit_exact, found)))
     check(
         "found-heights-within-bound",
         "H(beta) <= 11a - 4 at a = 1",
-        lambda: all(
+        lambda: bool(found) and all(
             valuations.unit_valuation_identity(*triple).height <= rep1.beta_ratio_bound
             for triple in found
         ),

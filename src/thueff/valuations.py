@@ -7,10 +7,16 @@ each embedding, measured in units of ``a`` = deg(lam(T)); with lam of
 degree ``a`` in the ground variable, an entry w means actual valuation
 w*a.  Heights come from the negative part: H(z) = -sum(min(0, w_i)).
 
+The series roots are lifted here and nowhere else in the verify
+pipeline: ``_root_powers(order)`` holds them with their squares and
+cubes, cached per order, and the embeddings, the Vandermonde check and
+``search.verify_theorem`` all read that one table.
+
 Substituting a truncated root series can only vanish to finite order for
 a nonzero element, so leads are resolved by adaptive doubling of the
 working order, starting at the Laurent default and giving up (with
-PrecisionUnderflow) only at the precision cap.
+PrecisionUnderflow) only at the precision cap; valuation vectors and the
+Vandermonde check share that one loop.
 """
 
 from __future__ import annotations
@@ -72,8 +78,10 @@ def _root_powers(order: int) -> tuple[tuple[LaurentSeries, ...], ...]:
     return tuple(table)
 
 
-def _embed(a: RingElem, i: int, order: int) -> LaurentSeries:
+def embed_series(a: RingElem, i: int, order: int) -> LaurentSeries:
     """Image of ``a`` under the embedding alpha -> i-th root series."""
+    if i not in (1, 2, 3, 4):
+        raise ValueError(f"embedding index must be 1..4, got {i}")
     powers = _root_powers(order)[i - 1]
     acc = expand_ratfunc(a.c0, order + 8)
     for c, p in zip(a.coeffs[1:], powers[1:]):
@@ -82,28 +90,28 @@ def _embed(a: RingElem, i: int, order: int) -> LaurentSeries:
     return acc
 
 
-def embed_series(a: RingElem, i: int, order: int) -> LaurentSeries:
-    """Public window into the i-th embedding at a fixed working order."""
-    if i not in (1, 2, 3, 4):
-        raise ValueError(f"embedding index must be 1..4, got {i}")
-    return _embed(a, i, order)
+def _resolve(images_at, what: str, start_order: int | None) -> list[LaurentSeries]:
+    """``images_at(order)`` at the first doubled order where every lead resolves."""
+    order = start_order or DEFAULT_ORDER
+    cap = precision_cap()
+    while True:
+        images = images_at(order)
+        if all(s.resolved for s in images):
+            return images
+        if order >= cap:
+            raise PrecisionUnderflow(
+                f"{what} lead unresolved at the precision cap ({cap})"
+            )
+        order = min(2 * order, cap)
 
 
 def valuation_vector(a: RingElem, start_order: int | None = None) -> ValuationVector:
     """Valuations of a nonzero element at the four infinite places."""
     if not a:
         raise ZeroElement("the zero element has no valuation vector")
-    order = start_order or DEFAULT_ORDER
-    cap = precision_cap()
-    while True:
-        images = [_embed(a, i, order) for i in (1, 2, 3, 4)]
-        if all(s.resolved for s in images):
-            return ValuationVector(tuple(s.lead for s in images))
-        if order >= cap:
-            raise PrecisionUnderflow(
-                f"valuation lead unresolved at the precision cap ({cap})"
-            )
-        order = min(2 * order, cap)
+    images = _resolve(lambda order: [embed_series(a, i, order) for i in (1, 2, 3, 4)],
+                      "valuation", start_order)
+    return ValuationVector(tuple(s.lead for s in images))
 
 
 def height_infinity(a: RingElem, start_order: int | None = None) -> int:
@@ -126,8 +134,18 @@ class VandermondeReport:
     leading_coeff: object  # Fraction of the embedding-1 leading term
 
 
-def _rotated_indices(k: int) -> list[int]:
-    return [((m + k - 1) % 4) for m in range(4)]
+def _vandermonde_products(order: int) -> list[LaurentSeries]:
+    roots = [row[1] for row in _root_powers(order)]
+    products = []
+    for k in range(4):
+        rotated = roots[k:] + roots[:k]
+        prod = None
+        for i in range(4):
+            for j in range(i + 1, 4):
+                d = rotated[j] - rotated[i]
+                prod = d if prod is None else prod * d
+        products.append(prod)
+    return products
 
 
 def vandermonde_report(start_order: int | None = None) -> VandermondeReport:
@@ -136,27 +154,9 @@ def vandermonde_report(start_order: int | None = None) -> VandermondeReport:
     The k-th embedding permutes the roots cyclically, so each entry is
     the lead of the same product with rotated root indices.
     """
-    order = start_order or DEFAULT_ORDER
-    cap = precision_cap()
-    while True:
-        roots = quartic_roots(order)
-        products = []
-        for k in range(1, 5):
-            idx = _rotated_indices(k)
-            prod = None
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    d = roots[idx[j]] - roots[idx[i]]
-                    prod = d if prod is None else prod * d
-            products.append(prod)
-        if all(p.resolved for p in products):
-            vec = ValuationVector(tuple(p.lead for p in products))
-            return VandermondeReport(vec, products[0].leading_coeff)
-        if order >= cap:
-            raise PrecisionUnderflow(
-                f"Vandermonde lead unresolved at the precision cap ({cap})"
-            )
-        order = min(2 * order, cap)
+    products = _resolve(_vandermonde_products, "Vandermonde", start_order)
+    vec = ValuationVector(tuple(p.lead for p in products))
+    return VandermondeReport(vec, products[0].leading_coeff)
 
 
 def vandermonde_valuation(start_order: int | None = None) -> ValuationVector:

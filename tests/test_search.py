@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from thueff import quartic, search, valuations
+from thueff import laurent, quartic, search, valuations
 from thueff.bounds import EXPONENT_BUDGET
 from thueff.errors import ReproductionFailure
 from thueff.polynomials import LAM, RatFunc
@@ -209,6 +209,25 @@ def test_certificate_json_shape():
     assert all(c["status"] == "PASS" for c in data["checks"])
 
 
+def test_verifier_lifts_the_series_roots_once(monkeypatch):
+    # The verifier and every valuation check read one root table: a cold
+    # run lifts three Hensel roots at each of its two orders, a warm run none.
+    lifts = []
+    original = laurent.hensel_lift
+
+    def counting(seed, order):
+        lifts.append((seed, order))
+        return original(seed, order)
+
+    monkeypatch.setattr(laurent, "hensel_lift", counting)
+    valuations.clear_caches()
+    verify_theorem()
+    assert len(lifts) == 6
+    lifts.clear()
+    verify_theorem()
+    assert lifts == []
+
+
 def test_tampered_rewrite_rule_is_caught_at_the_siegel_check():
     original = quartic.REWRITE_ROW
     quartic.REWRITE_ROW = (RatFunc(-2), RatFunc(-LAM), RatFunc(6), RatFunc(LAM))
@@ -244,6 +263,9 @@ def test_all_zero_rewrite_rule_is_caught_at_the_search_check():
         scan = next(c for c in cert.checks if c.name == "search-trivial-set")
         assert "SingularSystem" in scan.detail
         assert cert.triples_found == []
+        # With no confirmed hit, the checks about the hits cannot pass.
+        assert "found-units-exact" in cert.failed_names
+        assert "found-heights-within-bound" in cert.failed_names
     finally:
         quartic.REWRITE_ROW = original
         quartic.clear_caches()

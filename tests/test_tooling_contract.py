@@ -6,6 +6,7 @@ simplification that would break the benchmark fails here first.
 """
 
 from thueff import cli, quartic, search, valuations
+from thueff.laurent import quartic_roots
 from thueff.search import TRIVIAL_TRIPLES
 
 
@@ -16,6 +17,14 @@ def test_scan_chunk_takes_limit_and_triples_and_returns_survivors():
 
 def test_private_tables_and_caches_exist():
     assert callable(valuations._root_powers)
+    # The tracer wraps this table and the verifier reads its roots from it:
+    # one row (None, s, s^2, s^3) per series root s.
+    order = 6
+    table = valuations._root_powers(order)
+    assert len(table) == 4
+    for row, s in zip(table, quartic_roots(order)):
+        assert len(row) == 4 and row[0] is None
+        assert row[1] == s and row[2] == s * s and row[3] == s * s * s
     assert len(quartic.REWRITE_ROW) == 4
     assert callable(quartic.clear_caches)
     assert callable(valuations.clear_caches)
