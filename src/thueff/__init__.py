@@ -58,7 +58,6 @@ from .valuations import (
     height_infinity,
     unit_valuation_identity,
     valuation_vector,
-    vandermonde_valuation,
 )
 
 __version__ = "0.1.0"
@@ -110,6 +109,5 @@ __all__ = [
     "unit_from_exponents",
     "unit_valuation_identity",
     "valuation_vector",
-    "vandermonde_valuation",
     "verify_theorem",
 ]

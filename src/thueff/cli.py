@@ -89,8 +89,6 @@ def _certificate_text(cert: search.Certificate) -> str:
     for c in cert.checks:
         suffix = f" — {c.detail}" if c.detail else ""
         lines.append(f"{c.status:4s} {c.name}{suffix}")
-    for note in cert.notes:
-        lines.append(f"note: {note}")
     lines.append(
         f"searched {cert.triples_searched} triples, found {len(cert.triples_found)}; "
         f"certificate: {'PASS' if cert.passed else 'FAIL'}"

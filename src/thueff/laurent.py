@@ -194,22 +194,6 @@ class LaurentSeries:
             out.append(-acc * b0)
         return LaurentSeries(-self._lead, out, self._order - 2 * self._lead)
 
-    def __pow__(self, n: int) -> LaurentSeries:
-        if n < 0:
-            return self.inv() ** (-n)
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        if result is None:
-            # Empty product: exact 1, with a window matching this series'.
-            return LaurentSeries(0, [1] + [0] * max(self._order - 1, 0), max(self._order, 1))
-        return result
-
     def truncate(self, order: int) -> LaurentSeries:
         """Forget everything at exponents >= order (never extends)."""
         if order >= self._order:
@@ -259,14 +243,6 @@ class LaurentSeries:
             "coeffs": [str(c) for c in self._coeffs],
             "order": self._order,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> LaurentSeries:
-        return cls(
-            int(data["lead"]),
-            [Fraction(c) for c in data["coeffs"]],
-            int(data["order"]),
-        )
 
 
 def _term_text(c: Fraction, e: int) -> str:

@@ -11,11 +11,6 @@ This module supplies its two building blocks:
 * ``RatFunc`` -- quotients of two ``Poly`` values, canonicalized eagerly:
   numerator and denominator are coprime and the denominator is monic, so
   equality of values is equality of representations.
-
-Plain text formats (used by the command line and by fixtures):
-
-* polynomial: comma-separated ascending coefficients, ``"1, 0, -3/2"``
-* rational function: ``"<num> | <den>"``
 """
 
 from __future__ import annotations
@@ -171,9 +166,6 @@ class Poly:
         inv = 1 / self._c[-1]
         return Poly(tuple(x * inv for x in self._c))
 
-    def derivative(self) -> Poly:
-        return Poly(tuple(i * x for i, x in enumerate(self._c) if i))
-
     def __call__(self, value: Fraction | int) -> Fraction:
         """Evaluate by Horner's rule at a rational point."""
         acc = Fraction(0)
@@ -200,14 +192,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
-
-    @classmethod
-    def parse(cls, text: str) -> Poly:
-        """Inverse of ``str``: ascending comma-separated coefficients."""
-        text = text.strip()
-        if not text or text == "0":
-            return cls()
-        return cls(part.strip() for part in text.split(","))
 
 
 def _as_poly(x) -> Poly:
@@ -512,14 +496,6 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self._num!r}, {self._den!r})"
-
-    @classmethod
-    def parse(cls, text: str) -> RatFunc:
-        """Inverse of ``str``: ``"<num coeffs> | <den coeffs>"``."""
-        num_text, sep, den_text = text.partition("|")
-        num = Poly.parse(num_text)
-        den = Poly.parse(den_text) if sep else ONE
-        return cls(num, den)
 
 
 def _as_ratfunc(x):

@@ -89,13 +89,6 @@ class RingElem:
         parts = [f"({c})" + n for c, n in zip(self.coeffs, names) if c]
         return " + ".join(parts) if parts else "0"
 
-    def to_json(self) -> dict:
-        return {f"c{i}": str(c) for i, c in enumerate(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> RingElem:
-        return cls(*(RatFunc.parse(data[f"c{i}"]) for i in range(4)))
-
 
 def _coerce(x) -> RatFunc:
     if isinstance(x, RatFunc):

@@ -10,11 +10,12 @@ w*a.  Heights come from the negative part: H(z) = -sum(min(0, w_i)).
 The series roots are lifted here and nowhere else in the verify
 pipeline: ``_root_powers(order)`` holds them with their squares and
 cubes, cached per order, and the embeddings, the Vandermonde check and
-``search.verify_theorem`` all read that one table.
+``search.verify_theorem`` all read that one table (and form root
+difference products with ``root_difference_product``).
 
 Substituting a truncated root series can only vanish to finite order for
 a nonzero element, so leads are resolved by adaptive doubling of the
-working order, starting at the Laurent default and giving up (with
+working order, always starting at ``DEFAULT_ORDER`` and giving up (with
 PrecisionUnderflow) only at the precision cap; valuation vectors and the
 Vandermonde check share that one loop.
 """
@@ -41,20 +42,8 @@ class ValuationVector:
 
     w: tuple[int, int, int, int]
 
-    def __iter__(self):
-        return iter(self.w)
-
-    def __getitem__(self, i: int) -> int:
-        return self.w[i]
-
-    def __add__(self, other: ValuationVector) -> ValuationVector:
-        return ValuationVector(tuple(x + y for x, y in zip(self.w, other.w)))
-
     def __sub__(self, other: ValuationVector) -> ValuationVector:
         return ValuationVector(tuple(x - y for x, y in zip(self.w, other.w)))
-
-    def scaled(self, k: int) -> ValuationVector:
-        return ValuationVector(tuple(k * x for x in self.w))
 
     @property
     def total(self) -> int:
@@ -63,9 +52,6 @@ class ValuationVector:
     @property
     def height(self) -> int:
         return -sum(min(0, x) for x in self.w)
-
-    def to_json(self) -> dict:
-        return {"w": list(self.w), "unit": "a"}
 
 
 @lru_cache(maxsize=None)
@@ -90,9 +76,9 @@ def embed_series(a: RingElem, i: int, order: int) -> LaurentSeries:
     return acc
 
 
-def _resolve(images_at, what: str, start_order: int | None) -> list[LaurentSeries]:
+def _resolve(images_at, what: str) -> list[LaurentSeries]:
     """``images_at(order)`` at the first doubled order where every lead resolves."""
-    order = start_order or DEFAULT_ORDER
+    order = DEFAULT_ORDER
     cap = precision_cap()
     while True:
         images = images_at(order)
@@ -105,18 +91,18 @@ def _resolve(images_at, what: str, start_order: int | None) -> list[LaurentSerie
         order = min(2 * order, cap)
 
 
-def valuation_vector(a: RingElem, start_order: int | None = None) -> ValuationVector:
+def valuation_vector(a: RingElem) -> ValuationVector:
     """Valuations of a nonzero element at the four infinite places."""
     if not a:
         raise ZeroElement("the zero element has no valuation vector")
     images = _resolve(lambda order: [embed_series(a, i, order) for i in (1, 2, 3, 4)],
-                      "valuation", start_order)
+                      "valuation")
     return ValuationVector(tuple(s.lead for s in images))
 
 
-def height_infinity(a: RingElem, start_order: int | None = None) -> int:
+def height_infinity(a: RingElem) -> int:
     """H(a) = -sum(min(0, w_i)), in units of a = deg lam."""
-    return valuation_vector(a, start_order).height
+    return valuation_vector(a).height
 
 
 def unit_valuation_identity(r: int, s: int, t: int) -> ValuationVector:
@@ -134,33 +120,30 @@ class VandermondeReport:
     leading_coeff: object  # Fraction of the embedding-1 leading term
 
 
+def root_difference_product(roots) -> LaurentSeries:
+    """prod_{i<j} (roots[j] - roots[i]), multiplied in index order."""
+    prod = None
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            d = roots[j] - roots[i]
+            prod = d if prod is None else prod * d
+    return prod
+
+
 def _vandermonde_products(order: int) -> list[LaurentSeries]:
     roots = [row[1] for row in _root_powers(order)]
-    products = []
-    for k in range(4):
-        rotated = roots[k:] + roots[:k]
-        prod = None
-        for i in range(4):
-            for j in range(i + 1, 4):
-                d = rotated[j] - rotated[i]
-                prod = d if prod is None else prod * d
-        products.append(prod)
-    return products
+    return [root_difference_product(roots[k:] + roots[:k]) for k in range(4)]
 
 
-def vandermonde_report(start_order: int | None = None) -> VandermondeReport:
+def vandermonde_report() -> VandermondeReport:
     """Valuations of prod_{i<j} (root_j - root_i) under each embedding.
 
     The k-th embedding permutes the roots cyclically, so each entry is
     the lead of the same product with rotated root indices.
     """
-    products = _resolve(_vandermonde_products, "Vandermonde", start_order)
+    products = _resolve(_vandermonde_products, "Vandermonde")
     vec = ValuationVector(tuple(p.lead for p in products))
     return VandermondeReport(vec, products[0].leading_coeff)
-
-
-def vandermonde_valuation(start_order: int | None = None) -> ValuationVector:
-    return vandermonde_report(start_order).vector
 
 
 def clear_caches() -> None:

@@ -156,12 +156,12 @@ def unit_product_formula(cases: int, seed: int = 509) -> int:
     count = 0
     for r, s, t in itertools.product(range(-3, 4), repeat=3):
         beta = unit_from_exponents(r, s, t)
-        assert valuation_vector(beta, start_order=4).total == 0
+        assert valuation_vector(beta).total == 0
         count += 1
     while count < cases:
         r, s, t = rand_exponents(rng, bound=5)
         beta = unit_from_exponents(r, s, t)
-        assert valuation_vector(beta, start_order=4).total == 0
+        assert valuation_vector(beta).total == 0
         count += 1
     return count
 
@@ -187,9 +187,7 @@ def height_inverse_symmetry(cases: int, seed: int = 701) -> int:
         binv = unit_from_exponents(-r, -s, -t)
         if n % 64 == 0:
             assert ring_mul(beta, binv) == quartic.ONE
-        assert height_infinity(beta, start_order=4) == height_infinity(
-            binv, start_order=4
-        )
+        assert height_infinity(beta) == height_infinity(binv)
     return cases
 
 

@@ -120,7 +120,7 @@ def test_criterion_8_exponent_box_valuations_and_found_heights():
         for s in range(-3, 4):
             for t in range(-3, 4):
                 beta = unit_from_exponents(r, s, t)
-                got = valuation_vector(beta, start_order=4)
+                got = valuation_vector(beta)
                 assert got == unit_valuation_identity(r, s, t), (r, s, t)
     for triple in search.search_trivial_units():
         beta = unit_from_exponents(*triple)

@@ -3,7 +3,7 @@
 Oracles come first: a classic monic Euclidean gcd over Fraction
 coefficients (independent of the primitive-sequence gcd in the package)
 and a permutation-expansion determinant. Pinned cases cover division,
-gcd, canonical field arithmetic, text round-trips and the error surface;
+gcd, canonical field arithmetic, the text form and the error surface;
 seeded random loops check the oracles and the field axioms.
 """
 
@@ -228,28 +228,12 @@ def test_det_matches_permutation_expansion_random():
         assert bareiss_det(rows) == permutation_det_reference(rows)
 
 
-# -- text round-trips ------------------------------------------------------------
+# -- text form ----------------------------------------------------------------------
 
 
-def test_poly_parse_pinned():
-    p = Poly.parse("1, 0, -3/2")
-    assert p == Poly((1, 0, Fraction(-3, 2)))
-    assert str(p) == "1, 0, -3/2"
-
-
-def test_ratfunc_parse_pinned():
-    f = RatFunc.parse("0, 1 | 1, 1")
-    assert f == RatFunc(LAM, Poly((1, 1)))
-    assert str(f) == "0, 1 | 1, 1"
-
-
-def test_text_round_trip_random():
-    rng = random.Random(20260806)
-    for _ in range(300):
-        p = conftest.rand_poly(rng)
-        assert Poly.parse(str(p)) == p
-        f = conftest.rand_ratfunc(rng)
-        assert RatFunc.parse(str(f)) == f
+def test_str_pinned():
+    assert str(Poly((1, 0, Fraction(-3, 2)))) == "1, 0, -3/2"
+    assert str(RatFunc(LAM, Poly((1, 1)))) == "0, 1 | 1, 1"
 
 
 # -- negative powers are rejected -------------------------------------------------

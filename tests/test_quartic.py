@@ -224,16 +224,6 @@ def test_ring_pow_edge_cases():
         ring_pow(ZERO, -1)
 
 
-# -- JSON form -------------------------------------------------------------------------
-
-
-def test_ring_elem_json_round_trip():
-    rng = random.Random(20260825)
-    for _ in range(60):
-        a = conftest.rand_elem(rng, rational_every=4)
-        assert RingElem.from_json(a.to_json()) == a
-
-
 # -- randomized batteries at smoke size ------------------------------------------------
 
 

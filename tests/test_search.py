@@ -4,8 +4,9 @@ The enumeration oracle is a direct brute-force loop over the search box,
 written before anything else is trusted. The scan's modular image is
 checked against the residues of exact units, and a false modular
 survivor must be dropped by the exact confirmation; the certificate is
-exercised clean, with a reduced budget, and with two corrupted rewrite
-rules (caught at the Siegel check and at the search check).
+exercised clean and with two corrupted rewrite rules (one caught at the
+Siegel check with every check evaluating, one whose singular ring turns
+the checks that cannot evaluate to ERROR).
 """
 
 import random
@@ -141,7 +142,7 @@ def test_every_admissible_triple_obeys_the_valuation_identity_sampled():
     sample = rng.sample(triples, 80)
     for r, s, t in sample:
         beta = unit_from_exponents(r, s, t)
-        assert valuation_vector(beta, start_order=4) == unit_valuation_identity(r, s, t)
+        assert valuation_vector(beta) == unit_valuation_identity(r, s, t)
 
 
 # -- solution classes --------------------------------------------------------------------
@@ -191,16 +192,6 @@ def test_certificate_clean_run():
     assert all(c.status in ("PASS", "FAIL") for c in cert.checks)
 
 
-def test_certificate_reduced_budget_is_reported_not_failed():
-    cert = verify_theorem(budget=3)
-    assert cert.passed
-    assert cert.triples_found == list(TRIVIAL_TRIPLES)
-    assert any("search space reduced" in note for note in cert.notes)
-    zero_only = verify_theorem(budget=0)
-    assert zero_only.passed
-    assert zero_only.triples_found == [(0, 0, 0)]
-
-
 def test_certificate_json_shape():
     data = verify_theorem().to_json()
     assert data["triples_searched"] == 3871
@@ -240,6 +231,8 @@ def test_tampered_rewrite_rule_is_caught_at_the_siegel_check():
         assert cert is not None
         assert not cert.passed
         assert "siegel-identity" in cert.failed_names
+        # Every check evaluates under this ring: the failures are FAIL.
+        assert all(c.status in ("PASS", "FAIL") for c in cert.checks)
     finally:
         quartic.REWRITE_ROW = original
         quartic.clear_caches()
@@ -266,6 +259,20 @@ def test_all_zero_rewrite_rule_is_caught_at_the_search_check():
         # With no confirmed hit, the checks about the hits cannot pass.
         assert "found-units-exact" in cert.failed_names
         assert "found-heights-within-bound" in cert.failed_names
+        # A check that raised reads ERROR; one that evaluated to false, FAIL.
+        status = {c.name: c.status for c in cert.checks}
+        assert {n for n, s in status.items() if s == "ERROR"} == {
+            "inverse-alpha", "conjugates-are-roots", "norm-alpha",
+            "galois-composition", "siegel-identity", "unit-product-formula",
+            "conjugate-ratio-height", "search-trivial-set",
+        }
+        assert {n for n, s in status.items() if s == "FAIL"} == {
+            "rewrite-rule", "inverse-alpha-plus-1", "found-units-exact",
+            "found-heights-within-bound", "solution-classes",
+        }
+        assert all(
+            "SingularSystem" in c.detail for c in cert.checks if c.status == "ERROR"
+        )
     finally:
         quartic.REWRITE_ROW = original
         quartic.clear_caches()

@@ -5,6 +5,9 @@ runs the verifier with ``jobs=1``.  These tests pin that surface, so a
 simplification that would break the benchmark fails here first.
 """
 
+import types
+
+import thueff
 from thueff import cli, quartic, search, valuations
 from thueff.laurent import quartic_roots
 from thueff.search import TRIVIAL_TRIPLES
@@ -39,3 +42,17 @@ def test_verify_runs_with_one_job():
 def test_cli_verify_json_with_one_job(capsys):
     assert cli.main(["verify", "--format", "json", "--jobs", "1"]) == 0
     assert '"passed": true' in capsys.readouterr().out
+
+
+def test_public_exports_resolve():
+    # Every exported name exists, and every public name the package
+    # re-exports from its modules is listed, so a deletion cannot leave
+    # the export list stale in either direction.
+    for name in thueff.__all__:
+        assert hasattr(thueff, name), name
+    reexported = {
+        name
+        for name, obj in vars(thueff).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert reexported == set(thueff.__all__)
