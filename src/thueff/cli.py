@@ -86,9 +86,10 @@ def _cmd_solve(args) -> int:
 
 def _certificate_text(cert: search.Certificate) -> str:
     lines = []
+    width = max((len(c.status) for c in cert.checks), default=0)
     for c in cert.checks:
         suffix = f" — {c.detail}" if c.detail else ""
-        lines.append(f"{c.status:4s} {c.name}{suffix}")
+        lines.append(f"{c.status:{width}s} {c.name}{suffix}")
     lines.append(
         f"searched {cert.triples_searched} triples, found {len(cert.triples_found)}; "
         f"certificate: {'PASS' if cert.passed else 'FAIL'}"

@@ -4,10 +4,13 @@ The coefficient field of everything downstream is Q(lam), the field of
 rational functions in one indeterminate ``lam`` with rational coefficients.
 This module supplies its two building blocks:
 
-* ``Poly`` -- dense univariate polynomials over ``fractions.Fraction``,
-  stored as an ascending coefficient tuple with no trailing zeros.  The
-  zero polynomial is the empty tuple and its degree is the ``-inf``
-  sentinel (never fed back into exponent arithmetic).
+* ``Poly`` -- dense univariate polynomials over Q, stored as integer
+  numerators (ascending, no trailing zeros) over one positive common
+  denominator, in lowest terms: gcd(denominator, *numerators) = 1.  The
+  zero polynomial is ``((), 1)`` and its degree is the ``-inf`` sentinel
+  (never fed back into exponent arithmetic).  The arithmetic runs on the
+  integers; ``coeffs``, indexing and ``lc`` still yield
+  ``fractions.Fraction`` values, built on demand.
 * ``RatFunc`` -- quotients of two ``Poly`` values, canonicalized eagerly:
   numerator and denominator are coprime and the denominator is monic, so
   equality of values is equality of representations.
@@ -16,7 +19,7 @@ This module supplies its two building blocks:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as gcd_int
+from math import gcd as gcd_int, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import UndefinedGcd, ZeroDivisor
@@ -27,63 +30,89 @@ _NEG_INF = float("-inf")
 
 
 class Poly:
-    """A dense univariate polynomial with ``Fraction`` coefficients."""
+    """A dense univariate polynomial over Q: integer numerators over one denominator."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs: Iterable[CoeffLike] = ()):
-        c = [x if type(x) is Fraction else Fraction(x) for x in coeffs]
-        while c and not c[-1]:
-            c.pop()
-        self._c = tuple(c)
+        c = [x if type(x) is int else Fraction(x) for x in coeffs]
+        d = lcm(*(x.denominator for x in c))
+        p = Poly._of([x.numerator * (d // x.denominator) for x in c], d)
+        self._n, self._d = p._n, p._d
+
+    @classmethod
+    def _of(cls, n: list[int], d: int) -> Poly:
+        """sum(n[i] x**i) / d for any nonzero d, brought to lowest terms."""
+        while n and not n[-1]:
+            n.pop()
+        if d < 0:
+            n = [-v for v in n]
+            d = -d
+        if d != 1:
+            g = gcd_int(d, *n)
+            if g != 1:
+                n = [v // g for v in n]
+                d //= g
+        out = object.__new__(cls)
+        out._n = tuple(n)
+        out._d = d
+        return out
 
     # -- basic structure ------------------------------------------------
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._c
+        d = self._d
+        return tuple(Fraction(v, d) for v in self._n)
 
     @property
     def degree(self):
         """Degree, or ``-inf`` for the zero polynomial."""
-        return len(self._c) - 1 if self._c else _NEG_INF
+        return len(self._n) - 1 if self._n else _NEG_INF
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._n)
 
     def __getitem__(self, i: int) -> Fraction:
         """Coefficient of x**i (zero beyond the stored range)."""
-        if 0 <= i < len(self._c):
-            return self._c[i]
+        if 0 <= i < len(self._n):
+            return Fraction(self._n[i], self._d)
         return Fraction(0)
 
     @property
     def lc(self) -> Fraction:
         """Leading coefficient; zero for the zero polynomial."""
-        return self._c[-1] if self._c else Fraction(0)
+        return Fraction(self._n[-1], self._d) if self._n else Fraction(0)
 
     def is_constant(self) -> bool:
-        return len(self._c) <= 1
+        return len(self._n) <= 1
 
     def is_monic(self) -> bool:
-        return bool(self._c) and self._c[-1] == 1
+        return bool(self._n) and self._n[-1] == self._d
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: Poly | CoeffLike) -> Poly:
         other = _as_poly(other)
-        a, b = self._c, other._c
+        a, b, d = self._n, other._n, self._d
+        if d != other._d:
+            d = lcm(d, other._d)
+            a = [v * (d // self._d) for v in a]
+            b = [v * (d // other._d) for v in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, x in enumerate(b):
             out[i] += x
-        return Poly(out)
+        return Poly._of(out, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly(tuple(-x for x in self._c))
+        out = object.__new__(Poly)
+        out._n = tuple(-v for v in self._n)
+        out._d = self._d
+        return out
 
     def __sub__(self, other: Poly | CoeffLike) -> Poly:
         return self + (-_as_poly(other))
@@ -93,29 +122,16 @@ class Poly:
 
     def __mul__(self, other: Poly | CoeffLike) -> Poly:
         other = _as_poly(other)
-        a, b = self._c, other._c
+        a, b = self._n, other._n
         if not a or not b:
-            return Poly()
-        # Convolve over a shared denominator with machine integers; one
-        # Fraction normalization per output coefficient instead of one
-        # per term keeps this the cheap inner loop it needs to be.
-        da = db = 1
-        for x in a:
-            d = x.denominator
-            da = da // gcd_int(da, d) * d
-        for y in b:
-            d = y.denominator
-            db = db // gcd_int(db, d) * d
-        ia = [int(x * da) for x in a]
-        ib = [int(y * db) for y in b]
+            return ZERO
         out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(ia):
+        for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(ib):
+                for j, y in enumerate(b):
                     if y:
                         out[i + j] += x * y
-        den = da * db
-        return Poly(tuple(Fraction(v, den) for v in out))
+        return Poly._of(out, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -132,26 +148,43 @@ class Poly:
         return result
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
-        """Exact long division; raises ZeroDivisor on a zero divisor."""
+        """Exact division with remainder; raises ZeroDivisor on a zero divisor.
+
+        Pseudo-division over Z on the numerators: ``scale * a = q * b + r``
+        holds throughout, where ``scale`` gathers only the factors of
+        lc(b) that an exact integer quotient step could not avoid.  The
+        rational quotient and remainder follow by one rescaling at the end.
+        """
         other = _as_poly(other)
         if not other:
             raise ZeroDivisor("polynomial division by zero")
         if not self:
-            return Poly(), Poly()
-        r = list(self._c)
-        d = other._c
-        dd = len(d) - 1
-        inv_lc = 1 / d[-1]
-        q = [Fraction(0)] * max(len(r) - dd, 0)
-        for k in range(len(r) - 1, dd - 1, -1):
+            return ZERO, ZERO
+        b = other._n
+        db = len(b) - 1
+        lb = b[-1]
+        r = list(self._n)
+        q = [0] * max(len(r) - db, 0)
+        scale = 1
+        for k in range(len(r) - 1, db - 1, -1):
             c = r[k]
             if not c:
                 continue
-            c *= inv_lc
-            q[k - dd] = c
-            for j in range(dd + 1):
-                r[k - dd + j] -= c * d[j]
-        return Poly(q), Poly(r)
+            if c % lb:
+                m = lb // gcd_int(c, lb)
+                r = [m * v for v in r]
+                q = [m * v for v in q]
+                scale *= m
+                c = r[k]
+            c //= lb
+            q[k - db] = c
+            for j in range(db + 1):
+                r[k - db + j] -= c * b[j]
+        # a / d_a = (q d_b / (scale d_a)) (b / d_b) + r / (scale d_a)
+        den = scale * self._d
+        if other._d != 1:
+            q = [v * other._d for v in q]
+        return Poly._of(q, den), Poly._of(r[:db], den)
 
     def __floordiv__(self, other: Poly) -> Poly:
         return divmod(self, other)[0]
@@ -161,34 +194,39 @@ class Poly:
 
     def monic(self) -> Poly:
         """Scale to leading coefficient 1 (zero stays zero)."""
-        if not self._c or self._c[-1] == 1:
+        n = self._n
+        if not n or n[-1] == self._d:
             return self
-        inv = 1 / self._c[-1]
-        return Poly(tuple(x * inv for x in self._c))
+        return Poly._of(list(n), n[-1])
 
     def __call__(self, value: Fraction | int) -> Fraction:
-        """Evaluate by Horner's rule at a rational point."""
-        acc = Fraction(0)
-        for x in reversed(self._c):
-            acc = acc * value + x
-        return acc
+        """Evaluate at a rational point p/q by Horner's rule over the integers."""
+        n = self._n
+        if not n:
+            return Fraction(0)
+        p, q = value.numerator, value.denominator
+        acc, qk = n[-1], 1
+        for c in reversed(n[:-1]):
+            qk *= q
+            acc = acc * p + c * qk
+        return Fraction(acc, self._d * qk)
 
     # -- comparison / hashing / text -------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, str)):
-            other = _as_poly(other)
         if not isinstance(other, Poly):
-            return NotImplemented
-        return self._c == other._c
+            if not isinstance(other, (int, Fraction, str)):
+                return NotImplemented
+            other = _as_poly(other)
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        return hash((self._n, self._d))
 
     def __str__(self) -> str:
-        if not self._c:
+        if not self._n:
             return "0"
-        return ", ".join(str(x) for x in self._c)
+        return ", ".join(str(x) for x in self.coeffs)
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -211,19 +249,12 @@ ZERO = Poly()
 ONE = Poly((1,))
 
 
-def _int_primitive(p: Poly) -> list[int]:
-    """Integer coefficient list of p scaled primitive (positive lead)."""
-    scale = 1
-    for c in p.coeffs:
-        d = c.denominator
-        scale = scale // gcd_int(scale, d) * d
-    ints = [int(c * scale) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = gcd_int(g, v)
-    if ints[-1] < 0:
+def _int_primitive(n: Sequence[int]) -> list[int]:
+    """A nonzero integer coefficient list over its content, with positive lead."""
+    g = gcd_int(*n)
+    if n[-1] < 0:
         g = -g
-    return [v // g for v in ints]
+    return [v // g for v in n]
 
 
 def _iprem(a: list[int], b: list[int]) -> list[int]:
@@ -260,8 +291,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return a.monic()
     if a.is_constant() or b.is_constant():
         return ONE
-    x = _int_primitive(a)
-    y = _int_primitive(b)
+    x = _int_primitive(a._n)
+    y = _int_primitive(b._n)
     if len(x) < len(y):
         x, y = y, x
     while True:
@@ -270,12 +301,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         r = _iprem(x, y)
         if not r:
             break
-        g = 0
-        for v in r:
-            g = gcd_int(g, v)
-        x, y = y, [v // g for v in r]
-    lead = Fraction(y[-1])
-    return Poly(tuple(Fraction(v) / lead for v in y))
+        x, y = y, _int_primitive(r)
+    return Poly._of(y, y[-1])
 
 
 def bareiss_det(rows: list[list[Poly]]) -> Poly:
@@ -296,7 +323,7 @@ def bareiss_det(rows: list[list[Poly]]) -> Poly:
             entry = m[r][k]
             if not entry:
                 continue
-            deg = len(entry.coeffs)
+            deg = len(entry._n)
             if pivot_deg is None or deg < pivot_deg:
                 pivot_row, pivot_deg = r, deg
         if pivot_row is None:
@@ -326,6 +353,14 @@ def clear_denominators(row: Sequence[RatFunc]) -> tuple[list[Poly], Poly]:
     return [e.num * (scale // e.den) for e in row], scale
 
 
+def _over_monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """The same quotient num/den with den made monic (den nonzero)."""
+    lead, d = den._n[-1], den._d
+    if lead == d:
+        return num, den
+    return Poly._of([v * d for v in num._n], num._d * lead), den.monic()
+
+
 class RatFunc:
     """A rational function num/den over Q, canonical on construction.
 
@@ -343,19 +378,13 @@ class RatFunc:
             raise ZeroDivisor("rational function with zero denominator")
         if not num:
             den = ONE
-        elif den.is_constant():
-            if den.lc != 1:
-                num *= 1 / den.lc
-            den = ONE
         else:
-            g = poly_gcd(num, den)
-            if g != ONE:
-                num //= g
-                den //= g
-            if not den.is_monic():
-                scale = 1 / den.lc
-                num *= scale
-                den *= scale
+            if not den.is_constant():
+                g = poly_gcd(num, den)
+                if g != ONE:
+                    num //= g
+                    den //= g
+            num, den = _over_monic(num, den)
         self._num = num
         self._den = den
 
@@ -466,12 +495,7 @@ class RatFunc:
     def inv(self) -> RatFunc:
         if not self:
             raise ZeroDivisor("inverse of the zero rational function")
-        num, den = self._den, self._num
-        if den.lc != 1:
-            scale = 1 / den.lc
-            num *= scale
-            den *= scale
-        return RatFunc._raw(num, den)
+        return RatFunc._raw(*_over_monic(self._den, self._num))
 
     def __pow__(self, n: int) -> RatFunc:
         if n < 0:

@@ -20,7 +20,6 @@ from thueff import quartic
 from thueff.polynomials import ONE as P_ONE
 from thueff.polynomials import Poly, RatFunc, poly_gcd
 from thueff.quartic import (
-    ALPHA,
     elem_from_xy,
     f_lambda_eval,
     galois,
@@ -31,7 +30,6 @@ from thueff.quartic import (
 )
 from thueff.valuations import (
     height_infinity,
-    unit_valuation_identity,
     valuation_vector,
 )
 

@@ -9,10 +9,10 @@ import time
 from fractions import Fraction
 
 import property_suites
-from thueff import quartic, search, valuations
+from thueff import quartic, search
 from thueff.bounds import bound_report, discriminant, f_lambda_discriminant, f_lambda_xpoly
 from thueff.laurent import LaurentSeries, expand_ratfunc, quartic_roots
-from thueff.polynomials import LAM, Poly, RatFunc
+from thueff.polynomials import Poly, RatFunc
 from thueff.quartic import ALPHA, ONE, RingElem, ring_inv, unit_from_exponents
 from thueff.valuations import (
     ValuationVector,

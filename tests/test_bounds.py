@@ -25,7 +25,7 @@ from thueff.bounds import (
 )
 from thueff.errors import InconsistentRamification, InvalidDegree, NotMonic
 from thueff.laurent import expand_ratfunc, quartic_roots
-from thueff.polynomials import LAM, Poly, RatFunc
+from thueff.polynomials import Poly, RatFunc
 
 
 def monic_from_roots(roots: list[Fraction]) -> list[RatFunc]:

@@ -5,13 +5,15 @@ that the module entry point works end to end.
 """
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from thueff import cli
+from thueff import cli, quartic, valuations
 from thueff.errors import ReproductionFailure
+from thueff.polynomials import RatFunc
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +141,33 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     assert code == 1
     assert "FAIL siegel-identity" in out
     assert "certificate: FAIL" in out
+
+
+def test_verify_text_aligns_check_names_under_error(capsys):
+    # The all-zero rewrite row makes some checks ERROR (five letters) and
+    # others FAIL or PASS: every check name must still start in one column.
+    original = quartic.REWRITE_ROW
+    quartic.REWRITE_ROW = (RatFunc(0),) * 4
+    quartic.clear_caches()
+    valuations.clear_caches()
+    try:
+        code, out = run_cli(capsys, "verify")
+    finally:
+        quartic.REWRITE_ROW = original
+        quartic.clear_caches()
+        valuations.clear_caches()
+    assert code == 1
+    lines = out.strip().splitlines()[:-1]
+    assert len(lines) == 23
+    starts = set()
+    statuses = set()
+    for line in lines:
+        m = re.match(r"(PASS|FAIL|ERROR) +\S", line)
+        assert m, line
+        statuses.add(m.group(1))
+        starts.add(m.end() - 1)
+    assert statuses == {"PASS", "FAIL", "ERROR"}
+    assert starts == {len("ERROR") + 1}
 
 
 def test_usage_errors_exit_two(capsys):

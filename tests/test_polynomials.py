@@ -1,15 +1,19 @@
 """Exact polynomial and rational-function arithmetic over Q(lam).
 
 Oracles come first: a classic monic Euclidean gcd over Fraction
-coefficients (independent of the primitive-sequence gcd in the package)
-and a permutation-expansion determinant. Pinned cases cover division,
-gcd, canonical field arithmetic, the text form and the error surface;
-seeded random loops check the oracles and the field axioms.
+coefficients (independent of the primitive-sequence gcd in the package),
+a permutation-expansion determinant, and plain ``Fraction``-tuple
+polynomial arithmetic (a cross-check of ``Poly``'s integer numerators
+over one denominator). Pinned cases cover division, gcd,
+canonical field arithmetic, the text form and the error surface; seeded
+random loops check the oracles, the integer representation's canonical
+form and the field axioms.
 """
 
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -57,11 +61,132 @@ def permutation_det_reference(rows: list[list[Poly]]) -> Poly:
     return total
 
 
+# Polynomials over Q as ascending tuples of Fraction with no trailing zero.
+
+
+def _ref_trim(c: list) -> tuple:
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+def ref_add(a: tuple, b: tuple) -> tuple:
+    n = max(len(a), len(b))
+    a, b = a + (Fraction(0),) * (n - len(a)), b + (Fraction(0),) * (n - len(b))
+    return _ref_trim([x + y for x, y in zip(a, b)])
+
+
+def ref_sub(a: tuple, b: tuple) -> tuple:
+    return ref_add(a, tuple(-y for y in b))
+
+
+def ref_mul(a: tuple, b: tuple) -> tuple:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def ref_divmod(a: tuple, b: tuple) -> tuple[tuple, tuple]:
+    """Schoolbook long division by a nonzero b."""
+    r = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(a) - len(b), -1, -1):
+        c = r[k + len(b) - 1] / b[-1]
+        q[k] = c
+        for j, y in enumerate(b):
+            r[k + j] -= c * y
+    return _ref_trim(q), _ref_trim(r[: len(b) - 1])
+
+
+def ref_monic(a: tuple) -> tuple:
+    return tuple(x / a[-1] for x in a) if a else a
+
+
+def ref_gcd(a: tuple, b: tuple) -> tuple:
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    return ref_monic(a)
+
+
+def ref_eval(a: tuple, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def assert_integer_canonical(p: Poly) -> None:
+    """Integer numerators, positive denominator, lowest terms, no trailing zero."""
+    n, d = p._n, p._d
+    assert type(n) is tuple and all(type(v) is int for v in n)
+    assert type(d) is int and d > 0
+    assert not n or n[-1] != 0
+    assert gcd(d, *n) == 1
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
 def is_canonical(f: RatFunc) -> bool:
     """Reduced form: monic denominator, coprime num/den, zero is 0/1."""
     if not f.num:
         return f.den == ONE
     return f.den.is_monic and poly_gcd(f.num, f.den) == ONE
+
+
+# -- the integer representation against the Fraction-tuple reference -----------
+
+
+def _rand_ref_poly(rng) -> tuple:
+    """Up to degree 5, zero included; integer, small-denominator or wide."""
+    kind = rng.randrange(3)
+    coeffs = []
+    for _ in range(rng.randint(0, 6)):
+        if kind == 0:
+            coeffs.append(Fraction(rng.randint(-9, 9)))
+        elif kind == 1:
+            coeffs.append(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 12))))
+        else:
+            coeffs.append(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)))
+    return _ref_trim(coeffs)
+
+
+def test_integer_kernel_matches_fraction_reference_random():
+    rng = random.Random(20261018)
+    cases = 0
+    for trial in range(1200):
+        ra, rb = _rand_ref_poly(rng), _rand_ref_poly(rng)
+        if trial % 3 == 0:  # a common factor for gcd and exact division
+            rc = _rand_ref_poly(rng)
+            ra, rb = ref_mul(ra, rc), ref_mul(rb, rc)
+        a, b = Poly(ra), Poly(rb)
+        assert a.coeffs == ra and b.coeffs == rb
+        for got, want in (
+            (a + b, ref_add(ra, rb)),
+            (a - b, ref_sub(ra, rb)),
+            (a * b, ref_mul(ra, rb)),
+            (a.monic(), ref_monic(ra)),
+        ):
+            assert_integer_canonical(got)
+            assert got.coeffs == want
+            assert got == Poly(want)
+        if rb:
+            q, r = divmod(a, b)
+            assert_integer_canonical(q)
+            assert_integer_canonical(r)
+            assert (q.coeffs, r.coeffs) == ref_divmod(ra, rb)
+            assert q * b + r == a
+            assert r.degree < b.degree
+        if ra or rb:
+            g = poly_gcd(a, b)
+            assert_integer_canonical(g)
+            assert g.coeffs == ref_gcd(ra, rb)
+        x = rng.choice((rng.randint(-50, 50), Fraction(rng.randint(-50, 50), rng.randint(1, 30))))
+        assert a(x) == ref_eval(ra, Fraction(x))
+        cases += 1
+    assert cases >= 1000
 
 
 # -- polynomial division -------------------------------------------------------

@@ -14,7 +14,6 @@ import pytest
 
 import conftest
 import property_suites
-from thueff import quartic
 from thueff.errors import ZeroDivisor
 from thueff.polynomials import LAM, ONE as P_ONE, Poly, RatFunc
 from thueff.quartic import (

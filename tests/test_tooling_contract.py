@@ -6,10 +6,12 @@ simplification that would break the benchmark fails here first.
 """
 
 import types
+from fractions import Fraction
 
 import thueff
 from thueff import cli, quartic, search, valuations
 from thueff.laurent import quartic_roots
+from thueff.polynomials import Poly
 from thueff.search import TRIVIAL_TRIPLES
 
 
@@ -31,6 +33,20 @@ def test_private_tables_and_caches_exist():
     assert len(quartic.REWRITE_ROW) == 4
     assert callable(quartic.clear_caches)
     assert callable(valuations.clear_caches)
+
+
+def test_ring_algebra_gate_reads_fraction_coefficients():
+    # The ring-algebra gate compares ``coeffs`` tuples with int lists and
+    # with Fraction constants, whatever ``Poly`` stores inside.
+    p = Poly((3, Fraction(1, 2), -4))
+    assert type(p.coeffs) is tuple
+    assert [type(c) for c in p.coeffs] == [Fraction] * 3
+    form = quartic.norm(quartic.elem_from_xy(Poly((2,)), Poly((1,))))
+    assert form.den.coeffs == (1,)
+    assert list(form.num.coeffs) == [-7, -6]  # F(2, 1) = -7 - 6 lam
+    unit = quartic.norm(quartic.unit_from_exponents(1, 0, 1))
+    assert unit.den.coeffs == (1,)
+    assert unit.num.coeffs == (Fraction(-4) ** 2,)
 
 
 def test_verify_runs_with_one_job():

@@ -14,7 +14,7 @@ import pytest
 
 import conftest
 import property_suites
-from thueff import quartic, valuations
+from thueff import quartic
 from thueff.bounds import f_lambda_discriminant
 from thueff.errors import PrecisionUnderflow, ZeroElement
 from thueff.laurent import expand_ratfunc, quartic_roots
