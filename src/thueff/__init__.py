@@ -20,7 +20,6 @@ from .errors import (
     InconsistentRamification,
     InvalidDegree,
     InvalidSetting,
-    NotASimpleRoot,
     NotMonic,
     PrecisionUnderflow,
     ReproductionFailure,
@@ -71,7 +70,6 @@ __all__ = [
     "InvalidSetting",
     "LAM",
     "LaurentSeries",
-    "NotASimpleRoot",
     "NotMonic",
     "Poly",
     "PrecisionUnderflow",

@@ -26,10 +26,6 @@ class PrecisionUnderflow(ThueffError):
     """
 
 
-class NotASimpleRoot(ThueffError):
-    """Series lifting was seeded at a point that is not a simple root."""
-
-
 class ZeroElement(ThueffError):
     """The zero element was passed where a nonzero one is required."""
 

@@ -21,10 +21,12 @@ The quartic
 
 has four roots in Q((1/lam)).  Substituting t = 1/lam and dividing by lam
 turns f into t*X**4 - X**3 - 6*t*X**2 + X + t, whose reduction at t = 0
-is X - X**3 with simple roots -1, 0, 1; each lifts to a unique series
-root by Newton iteration with doubling precision (``hensel_lift``).  The
-fourth root is recovered as -1/root(0), the image of the seed-0 root
-under the order-4 Moebius symmetry z -> (z - 1)/(z + 1) applied twice.
+is X - X**3 with simple roots -1, 0, 1.  The root at 0 lifts to a unique
+series root alpha2 by Newton iteration with doubling precision
+(``hensel_lift``).  The other three form its orbit under the order-4
+Moebius symmetry sigma(z) = (z - 1)/(z + 1) of f: alpha3 = sigma(alpha2)
+has constant term -1, alpha4 = sigma(alpha3) = -1/alpha2 and
+alpha1 = sigma(alpha4) = -1/alpha3 has constant term 1 (``quartic_roots``).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import os
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import InvalidSetting, NotASimpleRoot, PrecisionUnderflow, ZeroDivisor
+from .errors import InvalidSetting, PrecisionUnderflow, ZeroDivisor
 from .polynomials import Poly, RatFunc
 
 #: Working order used when a caller does not request one.
@@ -284,8 +286,7 @@ def poly_series(p: Poly, order: int) -> LaurentSeries:
     """A polynomial in lam as an exact series (lead = -deg p)."""
     if not p:
         return zero_to_order(order)
-    deg = len(p.coeffs) - 1
-    lead = -deg
+    lead = -p.degree
     if lead >= order:
         raise ValueError("order too small to hold the polynomial's lead")
     window = [Fraction(0)] * (order - lead)
@@ -304,8 +305,8 @@ def expand_ratfunc(f: RatFunc, order: int) -> LaurentSeries:
     """
     if not f:
         return zero_to_order(order)
-    p = len(f.num.coeffs) - 1
-    q = len(f.den.coeffs) - 1
+    p = f.num.degree
+    q = f.den.degree
     if all(not c for c in f.den.coeffs[:-1]):
         # Denominator lam**q (q = 0 included): the expansion is exact, no
         # inversion needed -- each numerator term lam**i becomes lam**(i-q).
@@ -341,63 +342,54 @@ def _extend_exact(s: LaurentSeries, order: int) -> LaurentSeries:
     return LaurentSeries(s.lead, window, order)
 
 
-def _f_tilde(x: LaurentSeries, order: int) -> LaurentSeries:
-    """t*X^4 - X^3 - 6t*X^2 + X + t at X = x, t = 1/lam (exact monomial)."""
-    t = monomial(1, order + 8)
-    x2 = x * x
-    x4 = x2 * x2
-    x3 = x2 * x
-    return (t * x4) - x3 - (t * x2).scale(6) + x + t
+def _f_tilde(x: LaurentSeries, order: int) -> tuple[LaurentSeries, LaurentSeries]:
+    """The reduced quartic and its X-derivative at X = x, t = 1/lam exact.
 
-
-def _f_tilde_deriv(x: LaurentSeries, order: int) -> LaurentSeries:
-    """d/dX of the reduced quartic: 4t*X^3 - 3*X^2 - 12t*X + 1."""
+    Returns (t*X^4 - X^3 - 6t*X^2 + X + t, 4t*X^3 - 3*X^2 - 12t*X + 1),
+    both from one set of powers of x.
+    """
     t = monomial(1, order + 8)
     x2 = x * x
     x3 = x2 * x
-    return (t * x3).scale(4) - x2.scale(3) - (t * x).scale(12) + constant(1, order + 8)
+    f = (t * (x2 * x2)) - x3 - (t * x2).scale(6) + x + t
+    df = (t * x3).scale(4) - x2.scale(3) - (t * x).scale(12) + constant(1, order + 8)
+    return f, df
 
 
-_HENSEL_SEEDS = (-1, 0, 1)
-
-
-def hensel_lift(seed: int, order: int) -> LaurentSeries:
-    """Lift a simple root of X - X^3 to a series root of the quartic.
+def hensel_lift(order: int) -> LaurentSeries:
+    """Lift the simple root 0 of X - X^3 to the series root alpha2.
 
     Newton iteration in Q[[1/lam]], doubling the working precision each
-    step; the result is the unique series root with constant term ``seed``
-    carrying ``order - max(lead, 0)`` exactly known coefficients.
+    step; the result is the unique series root with constant term 0,
+    exactly known below exponent ``order``.
     """
-    if seed not in _HENSEL_SEEDS:
-        raise NotASimpleRoot(
-            f"seed {seed!r} is not a simple root of X - X^3; expected -1, 0, or 1"
-        )
     if order < 1:
         raise ValueError("order must be at least 1")
-    x = constant(seed, 1)
+    x = zero_to_order(1)
     prec = 1
     while prec < order:
         prec = min(2 * prec, order)
         xe = _extend_exact(x, prec)
-        num = _f_tilde(xe, prec)
-        den = _f_tilde_deriv(xe, prec)
-        x = (xe - num * den.inv()).truncate(prec)
+        f, df = _f_tilde(xe, prec)
+        x = (xe - f * df.inv()).truncate(prec)
     return x
 
 
 def quartic_roots(order: int) -> tuple[LaurentSeries, ...]:
     """All four series roots, each known through exponent ``order - 1``.
 
-    Roots 1..3 come from Hensel seeds 1, 0, -1; root 4 is -1/root2, which
-    forces the internal lifts two orders deeper (series inversion of a
-    lead-1 window costs two orders of knowledge).
+    One lift gives alpha2; alpha3 = (alpha2 - 1)/(alpha2 + 1),
+    alpha4 = -1/alpha2 and alpha1 = -1/alpha3 complete its orbit under
+    sigma.  The lift runs two orders deeper because inverting the lead-1
+    window alpha2 costs two orders of knowledge.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     deep = order + 2
-    r1 = hensel_lift(1, deep)
-    r2 = hensel_lift(0, deep)
-    r3 = hensel_lift(-1, deep)
+    r2 = hensel_lift(deep)
+    one = constant(1, deep)
+    r3 = (r2 - one) * (r2 + one).inv()
+    r1 = -(r3.inv())
     r4 = -(r2.inv())
     roots = tuple(s.truncate(order) for s in (r1, r2, r3, r4))
     for i in range(4):

@@ -15,7 +15,7 @@ import pytest
 
 import conftest
 import property_suites
-from thueff.errors import InvalidSetting, NotASimpleRoot, PrecisionUnderflow, ZeroDivisor
+from thueff.errors import InvalidSetting, PrecisionUnderflow, ZeroDivisor
 from thueff.laurent import (
     LaurentSeries,
     expand_ratfunc,
@@ -102,26 +102,42 @@ def test_expand_matches_defining_product_random():
 # -- Hensel lifting and the four roots ---------------------------------------------
 
 
-def test_lift_at_seed_one():
-    assert hensel_lift(1, 4) == LaurentSeries(0, [1, -2, 2, 8], 4)
+def test_root_at_one_window():
+    assert quartic_roots(4)[0] == LaurentSeries(0, [1, -2, 2, 8], 4)
 
 
 def test_lift_at_seed_zero():
-    assert hensel_lift(0, 4) == LaurentSeries(1, [-1, 0, 5], 4)
+    assert hensel_lift(4) == LaurentSeries(1, [-1, 0, 5], 4)
 
 
-def test_lift_at_seed_minus_one():
-    assert hensel_lift(-1, 4) == LaurentSeries(0, [-1, -2, -2, 8], 4)
-
-
-def test_lift_rejects_non_simple_seed():
-    with pytest.raises(NotASimpleRoot):
-        hensel_lift(2, 4)
+def test_root_at_minus_one_window():
+    assert quartic_roots(4)[2] == LaurentSeries(0, [-1, -2, -2, 8], 4)
 
 
 def test_lift_rejects_bad_order():
     with pytest.raises(ValueError):
-        hensel_lift(1, 0)
+        hensel_lift(0)
+
+
+def test_orbit_roots_are_the_lifts_at_plus_and_minus_one():
+    """alpha1 and alpha3, built from alpha2 by sigma, are the seed-(+-1) roots.
+
+    Hensel uniqueness: X - X^3 has the simple roots 1 and -1, so for each
+    there is exactly one series root of the reduced quartic f~ with lead 0
+    and that constant term, and any window with that constant term on
+    which f~ vanishes to the window's order is a truncation of it.  The
+    derivative f~' reduces to 1 - 3X^2, whose value -2 at X = +-1 is the
+    nonzero that makes the root simple.
+    """
+    for order in (1, 2, 3, 5, 8, 13, 21, 34, 64):
+        r1, _, r3, _ = quartic_roots(order)
+        for s, c0 in ((r1, 1), (r3, -1)):
+            assert s.lead == 0 and s.order == order
+            assert s.coeff_at(0) == c0
+            f, df = _f_tilde(s, s.order)
+            assert not f.resolved
+            assert f.order >= order
+            assert df.lead == 0 and df.coeff_at(0) == -2
 
 
 def test_roots_low_order_windows():
@@ -142,7 +158,7 @@ def test_roots_pairwise_distinct_at_order_one():
 def test_root_residuals_vanish_to_precision():
     for order in (4, 8, 16):
         for s in quartic_roots(order):
-            tilde = _f_tilde(s, s.order)
+            tilde, _ = _f_tilde(s, s.order)
             full = f_lambda_at_series(s)
             assert not tilde.resolved
             assert tilde.order >= order - 2

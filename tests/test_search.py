@@ -202,18 +202,19 @@ def test_certificate_json_shape():
 
 def test_verifier_lifts_the_series_roots_once(monkeypatch):
     # The verifier and every valuation check read one root table: a cold
-    # run lifts three Hensel roots at each of its two orders, a warm run none.
+    # run makes one Hensel lift for each of its two table orders (12 and 8,
+    # lifted two orders deeper), a warm run none.
     lifts = []
     original = laurent.hensel_lift
 
-    def counting(seed, order):
-        lifts.append((seed, order))
-        return original(seed, order)
+    def counting(order):
+        lifts.append(order)
+        return original(order)
 
     monkeypatch.setattr(laurent, "hensel_lift", counting)
     valuations.clear_caches()
     verify_theorem()
-    assert len(lifts) == 6
+    assert lifts == [14, 10]
     lifts.clear()
     verify_theorem()
     assert lifts == []

@@ -5,11 +5,12 @@ runs the verifier with ``jobs=1``.  These tests pin that surface, so a
 simplification that would break the benchmark fails here first.
 """
 
+import inspect
 import types
 from fractions import Fraction
 
 import thueff
-from thueff import cli, quartic, search, valuations
+from thueff import cli, laurent, quartic, search, valuations
 from thueff.laurent import quartic_roots
 from thueff.polynomials import Poly
 from thueff.search import TRIVIAL_TRIPLES
@@ -33,6 +34,15 @@ def test_private_tables_and_caches_exist():
     assert len(quartic.REWRITE_ROW) == 4
     assert callable(quartic.clear_caches)
     assert callable(valuations.clear_caches)
+
+
+def test_laurent_entry_points_take_order_by_name():
+    # The tracer records ``laurent.max_order`` from the argument named
+    # ``order`` of these three functions, positional or keyword.
+    for name in ("quartic_roots", "hensel_lift", "expand_ratfunc"):
+        assert "order" in inspect.signature(getattr(laurent, name)).parameters, name
+    assert laurent.hensel_lift(order=3) == laurent.hensel_lift(3)
+    assert laurent.quartic_roots(order=3) == laurent.quartic_roots(3)
 
 
 def test_ring_algebra_gate_reads_fraction_coefficients():
