@@ -19,7 +19,6 @@ from .bounds import (
 from .errors import (
     InconsistentRamification,
     InvalidDegree,
-    InvalidSetting,
     NotMonic,
     PrecisionUnderflow,
     ReproductionFailure,
@@ -67,7 +66,6 @@ __all__ = [
     "Certificate",
     "InconsistentRamification",
     "InvalidDegree",
-    "InvalidSetting",
     "LAM",
     "LaurentSeries",
     "NotMonic",

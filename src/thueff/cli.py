@@ -3,8 +3,8 @@
 Subcommands: roots, bounds, search, solve, verify.  All output is
 deterministic; JSON is rendered with sorted keys so a parse/serialize
 round trip is byte-identical.  Exit codes: 0 success, 1 failed
-reproduction, 2 bad input (a usage error, an invalid setting, or an
-unwritable ``--out``), reported on one ``thueff: error: ...`` line.
+reproduction, 2 bad input (a usage error or an unwritable ``--out``),
+reported on one ``thueff: error: ...`` line.
 """
 
 from __future__ import annotations

@@ -46,10 +46,6 @@ class InconsistentRamification(ThueffError):
     """A ramification profile implies a negative genus."""
 
 
-class InvalidSetting(ThueffError, ValueError):
-    """An environment setting holds a value the package cannot use."""
-
-
 class ReproductionFailure(ThueffError):
     """A certified reproduction check failed.
 

@@ -1,19 +1,19 @@
 """Truncated Laurent series at the infinite place, and series root lifting.
 
 Series live in Q((1/lam)): a value is a finite window of exactly known
-coefficients of descending powers of lam.  The representation is
+coefficients of descending powers of lam.  With t = 1/lam, a series is
 
-    lead   -- exponent (of 1/lam) of the first known coefficient
-    coeffs -- ascending from ``lead``; first entry nonzero unless nothing
-              nonzero is known yet
-    order  -- exponents >= order are unknown territory
+    t**lead * w(t), known below t**order
 
-so a series knows every coefficient for exponents below ``order``: zero
-below ``lead``, stored values on [lead, order).  A series that is zero as
-far as it is known ("zero to order") stores an empty tuple with
-``lead == order``.  Truncation orders are tracked pessimistically through
-arithmetic; in particular a product of windows of orders m, n with leads
-p, q is only known to order min(p + n, q + m).
+where ``w`` is a ``Poly`` in t with w(0) != 0 and at most
+``order - lead`` terms, so a series knows every coefficient for
+exponents below ``order``: zero below ``lead``, the coefficients of
+``w`` on [lead, order).  A series that is zero as far as it is known
+("zero to order") has w = 0 and ``lead == order``.  The arithmetic runs
+on ``Poly``'s integer kernel; ``coeffs`` builds the window as
+``Fraction``s on demand.  Truncation orders are tracked pessimistically
+through arithmetic; in particular a product of windows of orders m, n
+with leads p, q is only known to order min(p + n, q + m).
 
 The quartic
 
@@ -31,55 +31,33 @@ alpha1 = sigma(alpha4) = -1/alpha3 has constant term 1 (``quartic_roots``).
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import InvalidSetting, PrecisionUnderflow, ZeroDivisor
-from .polynomials import Poly, RatFunc
+from .errors import PrecisionUnderflow, ZeroDivisor
+from .polynomials import ZERO, Poly, RatFunc
 
 #: Working order used when a caller does not request one.
 DEFAULT_ORDER = 8
 
-#: Hard ceiling for adaptive precision doubling (see ``precision_cap``).
-PRECISION_CAP = 1024
-
-
-def precision_cap() -> int:
-    """Adaptive-precision ceiling; THUEFF_PRECISION_CAP overrides it."""
-    raw = os.environ.get("THUEFF_PRECISION_CAP")
-    if raw is None:
-        return PRECISION_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise InvalidSetting(
-            f"THUEFF_PRECISION_CAP must be a positive integer, got {raw!r}"
-        )
-    return cap
-
 
 class LaurentSeries:
-    """A truncated Laurent series in 1/lam with Fraction coefficients."""
+    """A truncated Laurent series t**lead * w(t) in t = 1/lam.
 
-    __slots__ = ("_lead", "_coeffs", "_order")
+    The window ``w`` is a ``Poly``; ``coeffs`` spells it out as
+    ``Fraction``s on demand.
+    """
+
+    __slots__ = ("_lead", "_w", "_order")
 
     def __init__(self, lead: int, coeffs: Iterable = (), order: Optional[int] = None):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = list(coeffs)
         if order is None:
             order = lead + len(coeffs)
         if lead + len(coeffs) != order:
             raise ValueError("coefficient window must span [lead, order)")
-        # Fold leading zeros into ``lead`` so the first entry is nonzero.
-        start = 0
-        while start < len(coeffs) and coeffs[start] == 0:
-            start += 1
-        lead += start
-        self._lead = lead
-        self._coeffs = tuple(coeffs[start:])
-        self._order = order
+        s = _series(lead, Poly(coeffs), order)
+        self._lead, self._w, self._order = s._lead, s._w, s._order
 
     # -- structure --------------------------------------------------------
 
@@ -89,7 +67,11 @@ class LaurentSeries:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        """The window [lead, order) ascending; empty when zero to order."""
+        w = self._w
+        if not w:
+            return ()
+        return w.coeffs + (Fraction(0),) * (self._order - self._lead - w.degree - 1)
 
     @property
     def order(self) -> int:
@@ -98,20 +80,20 @@ class LaurentSeries:
     @property
     def resolved(self) -> bool:
         """True when a nonzero leading coefficient is known."""
-        return bool(self._coeffs)
+        return bool(self._w)
 
     @property
     def leading_coeff(self) -> Fraction:
-        if not self._coeffs:
+        if not self._w:
             raise PrecisionUnderflow(
                 f"no nonzero coefficient known below order {self._order}"
             )
-        return self._coeffs[0]
+        return self._w[0]
 
     @property
     def valuation(self) -> int:
         """Exponent of the leading term (the valuation at infinity)."""
-        if not self._coeffs:
+        if not self._w:
             raise PrecisionUnderflow(
                 f"valuation unresolved: series is zero to order {self._order}"
             )
@@ -128,26 +110,18 @@ class LaurentSeries:
             )
         if exponent < self._lead:
             return Fraction(0)
-        return self._coeffs[exponent - self._lead]
+        return self._w[exponent - self._lead]
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: LaurentSeries) -> LaurentSeries:
         order = min(self._order, other._order)
         lo = min(self._lead, other._lead, order)
-        out = []
-        for e in range(lo, order):
-            a = self._coeffs[e - self._lead] if self._lead <= e else Fraction(0)
-            b = other._coeffs[e - other._lead] if other._lead <= e else Fraction(0)
-            out.append(a + b)
-        return LaurentSeries(lo, out, order)
+        w = self._w.shift(self._lead - lo) + other._w.shift(other._lead - lo)
+        return _series(lo, w, order)
 
     def __neg__(self) -> LaurentSeries:
-        out = object.__new__(LaurentSeries)
-        out._lead = self._lead
-        out._coeffs = tuple(-c for c in self._coeffs)
-        out._order = self._order
-        return out
+        return _series(self._lead, -self._w, self._order)
 
     def __sub__(self, other: LaurentSeries) -> LaurentSeries:
         return self + (-other)
@@ -156,53 +130,38 @@ class LaurentSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         order = min(self._lead + other._order, other._lead + self._order)
-        if not self._coeffs or not other._coeffs:
-            return LaurentSeries(order, (), order)
         lo = self._lead + other._lead
-        out = [Fraction(0)] * (order - lo)
-        for i, a in enumerate(self._coeffs):
-            if not a:
-                continue
-            ea = self._lead + i
-            jmax = min(len(other._coeffs), order - ea - other._lead)
-            for j in range(jmax):
-                b = other._coeffs[j]
-                if b:
-                    out[ea + other._lead + j - lo] += a * b
-        return LaurentSeries(lo, out, order)
+        n = order - lo
+        return _series(lo, self._w.truncate(n) * other._w.truncate(n), order)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> LaurentSeries:
-        c = Fraction(c)
-        if not c:
-            return LaurentSeries(self._order, (), self._order)
-        return LaurentSeries(
-            self._lead, tuple(c * x for x in self._coeffs), self._order
-        )
+        return _series(self._lead, self._w * Fraction(c), self._order)
 
     def inv(self) -> LaurentSeries:
-        """Multiplicative inverse, known to order ``order - 2*lead``."""
-        if not self._coeffs:
+        """Multiplicative inverse, known to order ``order - 2*lead``.
+
+        Newton iteration b <- b*(2 - w*b) on the window, doubling the
+        number of known terms each step.
+        """
+        w = self._w
+        if not w:
             raise ZeroDivisor("inverse of a series with no known nonzero term")
-        u = self._coeffs
-        rel = len(u)
-        b0 = 1 / u[0]
-        out = [b0]
-        for k in range(1, rel):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                acc += u[j] * out[k - j]
-            out.append(-acc * b0)
-        return LaurentSeries(-self._lead, out, self._order - 2 * self._lead)
+        n = self._order - self._lead
+        b = Poly((1 / w[0],))
+        k = 1
+        while k < n:
+            k = min(2 * k, n)
+            e = (w.truncate(k) * b).truncate(k)
+            b = (b * (2 - e)).truncate(k)
+        return _series(-self._lead, b, self._order - 2 * self._lead)
 
     def truncate(self, order: int) -> LaurentSeries:
         """Forget everything at exponents >= order (never extends)."""
         if order >= self._order:
             return self
-        if order <= self._lead:
-            return LaurentSeries(order, (), order)
-        return LaurentSeries(self._lead, self._coeffs[: order - self._lead], order)
+        return _series(self._lead, self._w, order)
 
     # -- comparison / text ---------------------------------------------------
 
@@ -211,23 +170,23 @@ class LaurentSeries:
             return NotImplemented
         return (
             self._lead == other._lead
-            and self._coeffs == other._coeffs
+            and self._w == other._w
             and self._order == other._order
         )
 
     def __hash__(self) -> int:
-        return hash((self._lead, self._coeffs, self._order))
+        return hash((self._lead, self._w, self._order))
 
     def __str__(self) -> str:
         return self.pretty()
 
     def __repr__(self) -> str:
-        return f"LaurentSeries({self._lead}, {list(self._coeffs)}, {self._order})"
+        return f"LaurentSeries({self._lead}, {list(self.coeffs)}, {self._order})"
 
     def pretty(self) -> str:
         """Human form, descending powers of lam; zero terms are skipped."""
         parts = []
-        for i, c in enumerate(self._coeffs):
+        for i, c in enumerate(self.coeffs):
             if not c:
                 continue
             e = self._lead + i
@@ -242,9 +201,25 @@ class LaurentSeries:
     def to_json(self) -> dict:
         return {
             "lead": self._lead,
-            "coeffs": [str(c) for c in self._coeffs],
+            "coeffs": [str(c) for c in self.coeffs],
             "order": self._order,
         }
+
+
+def _series(lead: int, w: Poly, order: int) -> LaurentSeries:
+    """t**lead * w known below t**order: drops the terms of ``w`` from
+    ``order`` on and folds its low zeros into ``lead``."""
+    w = w.truncate(order - lead)
+    if w:
+        k = w.low_degree
+        lead, w = lead + k, w.shift(-k)
+    else:
+        lead = order
+    out = object.__new__(LaurentSeries)
+    out._lead = lead
+    out._w = w
+    out._order = order
+    return out
 
 
 def _term_text(c: Fraction, e: int) -> str:
@@ -267,19 +242,16 @@ def monomial(exponent: int, order: int, coeff=1) -> LaurentSeries:
     """coeff * lam**(-exponent), exactly known through the given order."""
     if exponent >= order:
         raise ValueError("monomial exponent must sit below the order")
-    window = [Fraction(coeff)] + [Fraction(0)] * (order - exponent - 1)
-    return LaurentSeries(exponent, window, order)
+    return _series(exponent, Poly((coeff,)), order)
 
 
 def constant(value, order: int) -> LaurentSeries:
     """A constant as an exact series window [0, order)."""
-    if Fraction(value) == 0:
-        return LaurentSeries(order, (), order)
-    return monomial(0, order, value)
+    return _series(0, Poly((value,)), order)
 
 
 def zero_to_order(order: int) -> LaurentSeries:
-    return LaurentSeries(order, (), order)
+    return _series(order, ZERO, order)
 
 
 def poly_series(p: Poly, order: int) -> LaurentSeries:
@@ -289,12 +261,7 @@ def poly_series(p: Poly, order: int) -> LaurentSeries:
     lead = -p.degree
     if lead >= order:
         raise ValueError("order too small to hold the polynomial's lead")
-    window = [Fraction(0)] * (order - lead)
-    for i, c in enumerate(p.coeffs):
-        e = -i
-        if e < order:
-            window[e - lead] = c
-    return LaurentSeries(lead, window, order)
+    return _series(lead, p.reversed(), order)
 
 
 def expand_ratfunc(f: RatFunc, order: int) -> LaurentSeries:
@@ -307,18 +274,10 @@ def expand_ratfunc(f: RatFunc, order: int) -> LaurentSeries:
         return zero_to_order(order)
     p = f.num.degree
     q = f.den.degree
-    if all(not c for c in f.den.coeffs[:-1]):
+    if f.den.low_degree == q:
         # Denominator lam**q (q = 0 included): the expansion is exact, no
         # inversion needed -- each numerator term lam**i becomes lam**(i-q).
-        lead = q - p
-        if lead >= order:
-            return zero_to_order(order)
-        window = [Fraction(0)] * (order - lead)
-        for i, c in enumerate(f.num.coeffs):
-            e = q - i
-            if e < order:
-                window[e - lead] = c
-        return LaurentSeries(lead, window, order)
+        return _series(q - p, f.num.reversed(), order)
     margin = order + abs(p) + 2 * abs(q) + 4
     num = poly_series(f.num, margin)
     den = poly_series(f.den, margin)
@@ -326,20 +285,6 @@ def expand_ratfunc(f: RatFunc, order: int) -> LaurentSeries:
 
 
 # -- the quartic and its series roots ------------------------------------------
-
-
-def _extend_exact(s: LaurentSeries, order: int) -> LaurentSeries:
-    """Reinterpret known coefficients as an exact Laurent polynomial.
-
-    Only valid when the caller genuinely means "this finite expansion,
-    exactly" -- Newton iterates do, truncated roots do not.
-    """
-    if order <= s.order:
-        return s
-    if not s.coeffs:
-        return zero_to_order(order)
-    window = list(s.coeffs) + [Fraction(0)] * (order - s.order)
-    return LaurentSeries(s.lead, window, order)
 
 
 def _f_tilde(x: LaurentSeries, order: int) -> tuple[LaurentSeries, LaurentSeries]:
@@ -369,7 +314,8 @@ def hensel_lift(order: int) -> LaurentSeries:
     prec = 1
     while prec < order:
         prec = min(2 * prec, order)
-        xe = _extend_exact(x, prec)
+        # The iterate is an exact Laurent polynomial: extend its window.
+        xe = _series(x.lead, x._w, prec)
         f, df = _f_tilde(xe, prec)
         x = (xe - f * df.inv()).truncate(prec)
     return x

@@ -10,7 +10,9 @@ This module supplies its two building blocks:
   zero polynomial is ``((), 1)`` and its degree is the ``-inf`` sentinel
   (never fed back into exponent arithmetic).  The arithmetic runs on the
   integers; ``coeffs``, indexing and ``lc`` still yield
-  ``fractions.Fraction`` values, built on demand.
+  ``fractions.Fraction`` values, built on demand.  ``truncate``,
+  ``shift``, ``reversed`` and ``low_degree`` serve the series windows of
+  ``laurent``.
 * ``RatFunc`` -- quotients of two ``Poly`` values, canonicalized eagerly:
   numerator and denominator are coprime and the denominator is monic, so
   equality of values is equality of representations.
@@ -24,9 +26,10 @@ from typing import Iterable, Sequence, Union
 
 from .errors import UndefinedGcd, ZeroDivisor
 
-CoeffLike = Union[int, str, Fraction]
+CoeffLike = Union[int, Fraction]
 
 _NEG_INF = float("-inf")
+_INF = float("inf")
 
 
 class Poly:
@@ -83,6 +86,11 @@ class Poly:
     def lc(self) -> Fraction:
         """Leading coefficient; zero for the zero polynomial."""
         return Fraction(self._n[-1], self._d) if self._n else Fraction(0)
+
+    @property
+    def low_degree(self):
+        """Index of the lowest nonzero coefficient, or ``inf`` for zero."""
+        return next((i for i, v in enumerate(self._n) if v), _INF)
 
     def is_constant(self) -> bool:
         return len(self._n) <= 1
@@ -199,6 +207,25 @@ class Poly:
             return self
         return Poly._of(list(n), n[-1])
 
+    # -- windows ---------------------------------------------------------
+
+    def truncate(self, k: int) -> Poly:
+        """The terms below x**k."""
+        if k >= len(self._n):
+            return self
+        return Poly._of(list(self._n[: max(k, 0)]), self._d)
+
+    def shift(self, k: int) -> Poly:
+        """x**k * self; a negative k drops the terms below x**(-k) first."""
+        if k == 0:
+            return self
+        n = [0] * k + list(self._n) if k > 0 else list(self._n[-k:])
+        return Poly._of(n, self._d)
+
+    def reversed(self) -> Poly:
+        """x**deg * self(1/x): the coefficients in reverse order."""
+        return Poly._of(list(self._n[::-1]), self._d)
+
     def __call__(self, value: Fraction | int) -> Fraction:
         """Evaluate at a rational point p/q by Horner's rule over the integers."""
         n = self._n
@@ -215,7 +242,7 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction, str)):
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = _as_poly(other)
         return self._n == other._n and self._d == other._d
@@ -237,8 +264,6 @@ def _as_poly(x) -> Poly:
         return x
     if isinstance(x, (int, Fraction)):
         return Poly((x,))
-    if isinstance(x, str):
-        return Poly((Fraction(x),))
     raise TypeError(f"cannot interpret {x!r} as a polynomial")
 
 

@@ -301,10 +301,8 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
     """Re-derive the full solution pipeline and certify every step.
 
     Raises ReproductionFailure (with the certificate attached) if any
-    check reads FAIL or ERROR.  A bad THUEFF_PRECISION_CAP raises
-    InvalidSetting before any check runs.
+    check reads FAIL or ERROR.
     """
-    laurent.precision_cap()
     checks: list[CheckResult] = []
     budget = bounds.EXPONENT_BUDGET
 

@@ -26,14 +26,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import PrecisionUnderflow, ZeroElement
-from .laurent import (
-    DEFAULT_ORDER,
-    LaurentSeries,
-    expand_ratfunc,
-    precision_cap,
-    quartic_roots,
-)
+from .laurent import DEFAULT_ORDER, LaurentSeries, expand_ratfunc, quartic_roots
 from .quartic import RingElem
+
+#: Hard ceiling for the adaptive precision doubling in ``_resolve``.
+PRECISION_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -79,16 +76,15 @@ def embed_series(a: RingElem, i: int, order: int) -> LaurentSeries:
 def _resolve(images_at, what: str) -> list[LaurentSeries]:
     """``images_at(order)`` at the first doubled order where every lead resolves."""
     order = DEFAULT_ORDER
-    cap = precision_cap()
     while True:
         images = images_at(order)
         if all(s.resolved for s in images):
             return images
-        if order >= cap:
+        if order >= PRECISION_CAP:
             raise PrecisionUnderflow(
-                f"{what} lead unresolved at the precision cap ({cap})"
+                f"{what} lead unresolved at the precision cap ({PRECISION_CAP})"
             )
-        order = min(2 * order, cap)
+        order = min(2 * order, PRECISION_CAP)
 
 
 def valuation_vector(a: RingElem) -> ValuationVector:

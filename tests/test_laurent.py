@@ -1,10 +1,12 @@
 """Truncated Laurent series in 1/lam and the quartic's series roots.
 
-The independent oracle here is the defining equation itself: every lifted
-root is substituted back into the quartic and the residual must be zero
-through the advertised precision. Pinned windows cover the geometric
-series, the four root expansions, rational-function expansion, precision
-bookkeeping and the error surface.
+Two independent oracles: plain Fraction-tuple windows with the truncated
+convolution and the inverse recurrence (a cross-check of the series
+arithmetic on ``Poly``'s integer kernel), and the defining equation
+itself: every lifted root is substituted back into the quartic and the
+residual must be zero through the advertised precision. Pinned windows
+cover the geometric series, the four root expansions, rational-function
+expansion, precision bookkeeping and the error surface.
 """
 
 import json
@@ -15,7 +17,7 @@ import pytest
 
 import conftest
 import property_suites
-from thueff.errors import InvalidSetting, PrecisionUnderflow, ZeroDivisor
+from thueff.errors import PrecisionUnderflow, ZeroDivisor
 from thueff.laurent import (
     LaurentSeries,
     expand_ratfunc,
@@ -24,11 +26,136 @@ from thueff.laurent import (
     hensel_lift,
     monomial,
     poly_series,
-    precision_cap,
     quartic_roots,
     zero_to_order,
 )
 from thueff.polynomials import LAM, ONE, Poly, RatFunc
+
+
+# -- the Fraction-window reference (kept deliberately naive) ---------------------
+#
+# A series is (lead, coeffs, order): the window [lead, order) as a tuple of
+# Fractions, first entry nonzero, or () with lead == order when nothing
+# nonzero is known.  Truncated convolution and the inverse recurrence,
+# coefficient by coefficient.
+
+
+def ref_series(lead, coeffs, order):
+    coeffs = [Fraction(c) for c in coeffs]
+    start = 0
+    while start < len(coeffs) and coeffs[start] == 0:
+        start += 1
+    return (lead + start, tuple(coeffs[start:]), order)
+
+
+def ref_add(a, b):
+    (la, ca, oa), (lb, cb, ob) = a, b
+    order = min(oa, ob)
+    lo = min(la, lb, order)
+    out = []
+    for e in range(lo, order):
+        x = ca[e - la] if la <= e else 0
+        y = cb[e - lb] if lb <= e else 0
+        out.append(x + y)
+    return ref_series(lo, out, order)
+
+
+def ref_neg(a):
+    return (a[0], tuple(-c for c in a[1]), a[2])
+
+
+def ref_mul(a, b):
+    (la, ca, oa), (lb, cb, ob) = a, b
+    order = min(la + ob, lb + oa)
+    if not ca or not cb:
+        return (order, (), order)
+    lo = la + lb
+    out = [Fraction(0)] * (order - lo)
+    for i, x in enumerate(ca):
+        for j in range(min(len(cb), order - lo - i)):
+            out[i + j] += x * cb[j]
+    return ref_series(lo, out, order)
+
+
+def ref_scale(a, c):
+    lead, coeffs, order = a
+    if not c:
+        return (order, (), order)
+    return ref_series(lead, [c * x for x in coeffs], order)
+
+
+def ref_inv(a):
+    lead, u, order = a
+    b0 = 1 / u[0]
+    out = [b0]
+    for k in range(1, len(u)):
+        out.append(-sum(u[j] * out[k - j] for j in range(1, k + 1)) * b0)
+    return ref_series(-lead, out, order - 2 * lead)
+
+
+def ref_truncate(a, k):
+    lead, coeffs, order = a
+    if k >= order:
+        return a
+    if k <= lead:
+        return (k, (), k)
+    return ref_series(lead, coeffs[: k - lead], k)
+
+
+def _rand_window(rng):
+    """A reference window: zero heads, zeros inside, a shared denominator."""
+    lead = rng.randint(-4, 4)
+    den = rng.choice((1, 1, 2, 3, 6, 35))
+    coeffs = []
+    for _ in range(rng.randint(0, 9)):
+        zero = rng.randrange(3) == 0
+        coeffs.append(Fraction(0 if zero else rng.randint(-9, 9), den))
+    if coeffs and rng.randrange(4) == 0:
+        coeffs[0] = Fraction(0)
+    return ref_series(lead, coeffs, lead + len(coeffs))
+
+
+def _as_ref(s):
+    return (s.lead, s.coeffs, s.order)
+
+
+def test_series_kernel_matches_fraction_reference_random():
+    rng = random.Random(20261018)
+    checked = 0
+    for trial in range(1000):
+        ra = _rand_window(rng)
+        rb = _rand_window(rng)
+        if trial % 4 == 0 and ra[1]:
+            # b starts as -a: the sum cancels at the bottom of the window
+            keep = rng.randint(1, len(ra[1]))
+            tail = [Fraction(rng.randint(-9, 9), 7) for _ in range(rng.randint(0, 4))]
+            rb = ref_series(ra[0], [-c for c in ra[1][:keep]] + tail, ra[0] + keep + len(tail))
+        a = LaurentSeries(*ra)
+        b = LaurentSeries(*rb)
+        assert _as_ref(a) == ra and _as_ref(b) == rb
+        c = rng.choice((0, rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 9))))
+        k = rng.randint(ra[0] - 2, ra[2] + 1)
+        for got, want in (
+            (a + b, ref_add(ra, rb)),
+            (a - b, ref_add(ra, ref_neg(rb))),
+            (-a, ref_neg(ra)),
+            (a * b, ref_mul(ra, rb)),
+            (a.scale(c), ref_scale(ra, Fraction(c))),
+            (a.truncate(k), ref_truncate(ra, k)),
+        ) + (((a.inv(), ref_inv(ra)),) if ra[1] else ()):
+            assert _as_ref(got) == want
+            assert got == LaurentSeries(*want)
+            if got.resolved:
+                assert len(got.coeffs) == got.order - got.lead
+                assert got.coeffs[0] != 0
+            else:
+                assert got.coeffs == () and got.lead == got.order
+            assert all(type(x) is Fraction for x in got.coeffs)
+        for e in range(ra[0] - 2, ra[2]):
+            want = ra[1][e - ra[0]] if e >= ra[0] else 0
+            assert a.coeff_at(e) == want
+        checked += 1
+    assert checked == 1000
 
 
 # -- arithmetic on explicit windows ---------------------------------------------
@@ -198,16 +325,6 @@ def test_monomial_and_poly_series_window_guards():
         monomial(4, 4)
     with pytest.raises(ValueError):
         poly_series(LAM, -1)
-
-
-def test_precision_cap_environment_override(monkeypatch):
-    assert precision_cap() == 1024
-    monkeypatch.setenv("THUEFF_PRECISION_CAP", "64")
-    assert precision_cap() == 64
-    for bad in ("zero", "abc", "0", "-3"):
-        monkeypatch.setenv("THUEFF_PRECISION_CAP", bad)
-        with pytest.raises(InvalidSetting):
-            precision_cap()
 
 
 # -- text and JSON forms -------------------------------------------------------------

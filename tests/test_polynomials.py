@@ -189,6 +189,47 @@ def test_integer_kernel_matches_fraction_reference_random():
     assert cases >= 1000
 
 
+# -- coefficient windows ---------------------------------------------------------
+
+
+def test_truncate_pinned():
+    p = Poly((3, 0, 5, 7))
+    assert p.truncate(2) == Poly((3,))  # the zero x-term is not kept
+    assert p.truncate(3) == Poly((3, 0, 5))
+    assert p.truncate(4) is p and p.truncate(99) is p
+    assert p.truncate(0) == ZERO and p.truncate(-2) == ZERO
+    assert ZERO.truncate(3) == ZERO
+    # dropping terms can free a factor of the denominator: lowest terms again
+    half = Poly((1, Fraction(1, 2))).truncate(1)
+    assert half == Poly((1,))
+    assert_integer_canonical(half)
+
+
+def test_shift_pinned():
+    p = Poly((Fraction(1, 2), 0, 3))
+    assert p.shift(0) is p
+    assert p.shift(2) == Poly((0, 0, Fraction(1, 2), 0, 3))
+    assert p.shift(-1) == Poly((0, 3))
+    assert p.shift(-2) == Poly((3,))
+    assert_integer_canonical(p.shift(-2))
+    assert p.shift(-3) == ZERO and p.shift(-9) == ZERO
+    assert ZERO.shift(4) == ZERO and ZERO.shift(-4) == ZERO
+
+
+def test_reversed_pinned():
+    assert Poly((1, 2, 3)).reversed() == Poly((3, 2, 1))
+    assert Poly((0, 0, 5, Fraction(1, 3))).reversed() == Poly((Fraction(1, 3), 5))
+    assert LAM.reversed() == ONE
+    assert ZERO.reversed() == ZERO
+
+
+def test_low_degree_pinned():
+    assert Poly((4, 1)).low_degree == 0
+    assert Poly((0, 0, Fraction(-2, 7), 1)).low_degree == 2
+    assert (LAM ** 5).low_degree == (LAM ** 5).degree == 5
+    assert ZERO.low_degree == float("inf")
+
+
 # -- polynomial division -------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import conftest
 import property_suites
-from thueff import quartic
+from thueff import quartic, valuations
 from thueff.bounds import f_lambda_discriminant
 from thueff.errors import PrecisionUnderflow, ZeroElement
 from thueff.laurent import expand_ratfunc, quartic_roots
@@ -138,7 +138,7 @@ def test_precision_escalates_past_default_order():
 
 
 def test_precision_cap_stops_escalation(monkeypatch):
-    monkeypatch.setenv("THUEFF_PRECISION_CAP", "8")
+    monkeypatch.setattr(valuations, "PRECISION_CAP", 8)
     with pytest.raises(PrecisionUnderflow):
         valuation_vector(_near_root_elem())
 
