@@ -57,7 +57,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_search(args) -> int:
     triples = search.admissible_exponents()
-    found = search.search_trivial_units(jobs=args.jobs)
+    found = search._search_triples(triples, bounds.EXPONENT_BUDGET, args.jobs)
     if args.format == "json":
         payload = {
             "triples_searched": len(triples),

@@ -12,8 +12,11 @@ whose power-basis coordinates satisfy c2 = c3 = 0.  The height chain in
 (budget 10 certifies every lam; each coordinate is bounded by the budget,
 so the box enumeration loses nothing).  The scan runs in the image of the
 ring under lam -> LAM0 modulo the prime P, where a ring element is four
-machine-size residues; a nonzero residue of c2 or c3 rules a triple out,
-and every survivor is confirmed in the exact ring of ``quartic``.
+machine-size residues.  For a fixed t, c2 and c3 of x * (alpha + 1)**t are
+two linear forms in the residues of x, so each triple costs two dot
+products against the (r, s) part; a nonzero residue of c2 or c3 rules a
+triple out, and every survivor is confirmed in the exact ring of
+``quartic``.
 ``verify_theorem`` reruns the whole pipeline at the certified budget and
 emits a machine-checkable certificate whose checks read PASS, FAIL, or
 ERROR (the check raised); it reads its series roots from the root table
@@ -23,7 +26,6 @@ check uses.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -74,6 +76,14 @@ def admissible_exponents(budget: int = bounds.EXPONENT_BUDGET) -> list[Triple]:
 # exact coordinate nonzero, so a rejected triple is rejected soundly; a
 # surviving triple is confirmed in the exact ring before it is reported.
 # The rewrite rule and the unit inverses are read from ``quartic``.
+#
+# The unit of (r, s, t) is x * u with x = (alpha - 1)**r * alpha**s and
+# u = (alpha + 1)**t.  Multiplying by u is linear in x, so c2 and c3 of
+# x * u are the dot products of x with the c2 and c3 entries of
+# alpha**i * u, i = 0..3: two 4-vectors per t, built once per scan.  Each
+# x is one product per (r, s) pair, shared by every t.  The dot products
+# are residues of the same image, so the test rejects exactly the triples
+# whose full product has a nonzero c2 or c3.
 
 P = 2**61 - 1
 LAM0 = 1234567
@@ -120,15 +130,38 @@ def _power_tables(limit: int) -> tuple[Residues, tuple[dict[int, Residues], ...]
     return row, tuple(tables)
 
 
+_BASIS: tuple[Residues, ...] = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _linear_forms(
+    row: Residues, table: dict[int, Residues]
+) -> dict[int, tuple[Residues, Residues]]:
+    """Exponent -> the c2 and c3 forms of multiplying by that power of ``table``."""
+    forms = {}
+    for e, u in table.items():
+        cols = [_mul(basis, u, row) for basis in _BASIS]
+        forms[e] = (tuple(c[2] for c in cols), tuple(c[3] for c in cols))
+    return forms
+
+
 def _scan_chunk(payload: tuple[int, list[Triple]]) -> list[Triple]:
     """The triples whose unit has c2 = c3 = 0 in the image (a superset of the hits)."""
     limit, triples = payload
     row, (t0, t1, t2) = _power_tables(limit)
+    forms = _linear_forms(row, t2)
+    pairs: dict[tuple[int, int], Residues] = {}
     found = []
     for r, s, t in triples:
-        vec = _mul(_mul(t0[r], t1[s], row), t2[t], row)
-        if not vec[2] and not vec[3]:
-            found.append((r, s, t))
+        x = pairs.get((r, s))
+        if x is None:
+            x = pairs[r, s] = _mul(t0[r], t1[s], row)
+        x0, x1, x2, x3 = x
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = forms[t]
+        if (x0 * a0 + x1 * a1 + x2 * a2 + x3 * a3) % P:
+            continue
+        if (x0 * b0 + x1 * b1 + x2 * b2 + x3 * b3) % P:
+            continue
+        found.append((r, s, t))
     return found
 
 
@@ -142,11 +175,18 @@ def search_trivial_units(
     and does not depend on the enumeration order, on how the triple space is
     partitioned, or on the choice of P and LAM0.
     """
-    triples = admissible_exponents(budget)
+    return _search_triples(admissible_exponents(budget), budget, jobs)
+
+
+def _search_triples(triples: list[Triple], budget: int, jobs: int) -> list[Triple]:
+    """``search_trivial_units`` on the box ``triples`` already enumerated at ``budget``."""
     limit = max(budget, 1)
     if jobs <= 1 or len(triples) < 64:
         survivors = _scan_chunk((limit, triples))
     else:
+        # Imported here, so that a single-job run never loads the pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = (len(triples) + jobs - 1) // jobs
         payloads = [
             (limit, triples[i : i + chunk]) for i in range(0, len(triples), chunk)
@@ -503,7 +543,7 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
     found: list[Triple] = []
 
     def scan() -> list[Triple]:
-        found.extend(search_trivial_units(budget=budget, jobs=jobs))
+        found.extend(_search_triples(triples, budget, jobs))
         return found
 
     check(

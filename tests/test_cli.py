@@ -1,7 +1,7 @@
 """The command-line front end: output shapes, exit codes, JSON round-trips.
 
-Everything runs in-process through main() except one subprocess check
-that the module entry point works end to end.
+Everything runs in-process through main() except two subprocess checks:
+that the module entry point works end to end, and what importing it loads.
 """
 
 import json
@@ -72,9 +72,18 @@ def test_bounds_json(capsys):
 # -- search and solve -------------------------------------------------------------
 
 
-def test_search_text(capsys):
+def test_search_text(capsys, monkeypatch):
+    calls = []
+    enumerate_box = cli.search.admissible_exponents
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_box(*args)
+
+    monkeypatch.setattr(cli.search, "admissible_exponents", counting)
     code, out = run_cli(capsys, "search")
     assert code == 0
+    assert len(calls) == 1  # the box is enumerated once, for the count and the scan
     assert "triples searched: 3871" in out
     assert "trivial unit at (r, s, t) = (0, 0, 0)" in out
     assert out.count("trivial unit at") == 4
@@ -220,18 +229,29 @@ def test_out_flag_writes_file(tmp_path, capsys):
 # -- module entry point -------------------------------------------------------------------
 
 
-def test_module_entry_point_subprocess():
+def run_child(*argv):
     # pytest's ``pythonpath`` setting does not reach a child process, so an
     # uninstalled checkout hands it the directory that holds the package.
     src = str(Path(thueff.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "thueff.cli", "roots", "--order", "2"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=120, env=env
     )
+
+
+def test_module_entry_point_subprocess():
+    proc = run_child("-m", "thueff.cli", "roots", "--order", "2")
     assert proc.returncode == 0
     assert "alpha_4 = λ + 5/λ" in proc.stdout
+
+
+def test_import_does_not_load_the_process_pool():
+    # Only a scan with more than one job uses the pool; a cold start of any
+    # command should not pay for importing it.
+    proc = run_child(
+        "-c",
+        "import sys, thueff.cli; "
+        "assert 'concurrent.futures' not in sys.modules, 'pool imported'",
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -2,8 +2,9 @@
 
 The enumeration oracle is a direct brute-force loop over the search box,
 written before anything else is trusted. The scan's modular image is
-checked against the residues of exact units, and a false modular
-survivor must be dropped by the exact confirmation; the certificate is
+checked against the residues of exact units, its two linear forms per t
+against full products in that image, and a false modular survivor must
+be dropped by the exact confirmation; the certificate is
 exercised clean and with two corrupted rewrite rules (one caught at the
 Siegel check with every check evaluating, one whose singular ring turns
 the checks that cannot evaluate to ERROR).
@@ -85,6 +86,30 @@ def test_residue_image_matches_scan_tables():
             for t in range(-2, 3):
                 product = search._mul(search._mul(t0[r], t1[s], row), t2[t], row)
                 assert search._image(unit_from_exponents(r, s, t).coeffs) == product
+
+
+def _full_product_route(budget):
+    """Triple -> its unit's image as two full products, ``(r, s)`` part times ``t`` part."""
+    row, (t0, t1, t2) = search._power_tables(budget)
+    return {
+        (r, s, t): search._mul(search._mul(t0[r], t1[s], row), t2[t], row)
+        for r, s, t in admissible_exponents(budget)
+    }
+
+
+def test_scan_linear_forms_match_the_full_product_on_the_box():
+    route = _full_product_route(EXPONENT_BUDGET)
+    row, (t0, t1, t2) = search._power_tables(EXPONENT_BUDGET)
+    forms = search._linear_forms(row, t2)
+    for (r, s, t), image in route.items():
+        x = search._mul(t0[r], t1[s], row)
+        c2, c3 = (sum(a * b for a, b in zip(x, form)) % search.P for form in forms[t])
+        assert (c2, c3) == image[2:], (r, s, t)
+    # The scan keeps exactly the triples whose full product has c2 = c3 = 0.
+    for budget in range(EXPONENT_BUDGET + 1):
+        triples = admissible_exponents(budget)
+        expect = [tr for tr in triples if route[tr][2:] == (0, 0)]
+        assert search._scan_chunk((max(budget, 1), triples)) == expect, budget
 
 
 def test_exact_confirmation_drops_a_false_modular_survivor(monkeypatch):
@@ -198,6 +223,19 @@ def test_certificate_json_shape():
     assert [tuple(t) for t in data["triples_found"]] == list(TRIVIAL_TRIPLES)
     assert len(data["classes"]) == 4
     assert all(c["status"] == "PASS" for c in data["checks"])
+
+
+def test_verifier_enumerates_the_box_once(monkeypatch):
+    calls = []
+    enumerate_box = search.admissible_exponents
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_box(*args)
+
+    monkeypatch.setattr(search, "admissible_exponents", counting)
+    assert verify_theorem().triples_searched == 3871
+    assert len(calls) == 1
 
 
 def test_verifier_lifts_the_series_roots_once(monkeypatch):

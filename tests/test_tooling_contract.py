@@ -21,6 +21,23 @@ def test_scan_chunk_takes_limit_and_triples_and_returns_survivors():
     assert sorted(search._scan_chunk((3, triples))) == list(TRIVIAL_TRIPLES)
 
 
+def test_one_job_search_scans_the_box_in_one_chunk(monkeypatch):
+    # The tracer counts ``search.triples_scanned`` and ``search.survivors``
+    # from the payload and result of each ``_scan_chunk`` call: 3871 and 4
+    # per op.
+    calls = []
+    scan = search._scan_chunk
+
+    def recording(payload):
+        found = scan(payload)
+        calls.append((len(payload[1]), len(found)))
+        return found
+
+    monkeypatch.setattr(search, "_scan_chunk", recording)
+    assert search.search_trivial_units(jobs=1) == list(TRIVIAL_TRIPLES)
+    assert calls == [(3871, 4)]
+
+
 def test_private_tables_and_caches_exist():
     assert callable(valuations._root_powers)
     # The tracer wraps this table and the verifier reads its roots from it:
