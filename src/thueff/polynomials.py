@@ -16,6 +16,11 @@ This module supplies its two building blocks:
 * ``RatFunc`` -- quotients of two ``Poly`` values, canonicalized eagerly:
   numerator and denominator are coprime and the denominator is monic, so
   equality of values is equality of representations.
+
+``Poly`` sums and products and the gcd run on kernels over integer
+coefficient lists (``_int_add``, ``_int_mul``, ``_int_gcd``; with
+``_int_exquo`` for exact division), which the quartic ring's integer
+form shares.
 """
 
 from __future__ import annotations
@@ -107,12 +112,7 @@ class Poly:
             d = lcm(d, other._d)
             a = [v * (d // self._d) for v in a]
             b = [v * (d // other._d) for v in b]
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return Poly._of(out, d)
+        return Poly._of(_int_add(a, b), d)
 
     __radd__ = __add__
 
@@ -130,16 +130,9 @@ class Poly:
 
     def __mul__(self, other: Poly | CoeffLike) -> Poly:
         other = _as_poly(other)
-        a, b = self._n, other._n
-        if not a or not b:
+        if not self._n or not other._n:
             return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return Poly._of(out, self._d * other._d)
+        return Poly._of(_int_mul(self._n, other._n), self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -274,6 +267,56 @@ ZERO = Poly()
 ONE = Poly((1,))
 
 
+# -- integer coefficient lists (ascending) ----------------------------------
+
+
+def _int_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Sum of two integer coefficient lists (trailing zeros may remain)."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, x in enumerate(b):
+        out[i] += x
+    return out
+
+
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer coefficient lists; ``[]`` if either is empty."""
+    if not a or not b:
+        return []
+    if len(a) > len(b):
+        a, b = b, a  # the shorter list in the outer loop: fewer loop set-ups
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _int_exquo(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The quotient a / b, for a nonzero b that divides a in Z[x].
+
+    Every b that is primitive and divides a over Q qualifies (Gauss's
+    lemma), so each long-division step below is an exact integer quotient.
+    """
+    lb = b[-1]
+    if len(b) == 1:
+        return [v // lb for v in a]
+    r = list(a)
+    db = len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(r) - 1, db - 1, -1):
+        c = r[k]
+        if c:
+            c //= lb
+            q[k - db] = c
+            for j in range(db + 1):
+                r[k - db + j] -= c * b[j]
+    return q
+
+
 def _int_primitive(n: Sequence[int]) -> list[int]:
     """A nonzero integer coefficient list over its content, with positive lead."""
     g = gcd_int(*n)
@@ -300,6 +343,24 @@ def _iprem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
+def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The gcd over Q[x] of two nonzero integer coefficient lists (no
+    trailing zeros), as a primitive integer list with positive lead."""
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    x = _int_primitive(a)
+    y = _int_primitive(b)
+    if len(x) < len(y):
+        x, y = y, x
+    while True:
+        if len(y) == 1:
+            return [1]
+        r = _iprem(x, y)
+        if not r:
+            return y
+        x, y = y, _int_primitive(r)
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor.
 
@@ -314,20 +375,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.monic()
     if not b:
         return a.monic()
-    if a.is_constant() or b.is_constant():
-        return ONE
-    x = _int_primitive(a._n)
-    y = _int_primitive(b._n)
-    if len(x) < len(y):
-        x, y = y, x
-    while True:
-        if len(y) == 1:
-            return ONE
-        r = _iprem(x, y)
-        if not r:
-            break
-        x, y = y, _int_primitive(r)
-    return Poly._of(y, y[-1])
+    g = _int_gcd(a._n, b._n)
+    return ONE if len(g) == 1 else Poly._of(g, g[-1])
 
 
 def bareiss_det(rows: list[list[Poly]]) -> Poly:

@@ -1,14 +1,29 @@
 """Arithmetic in K = Q(lam)[alpha] / (alpha^4 - lam*alpha^3 - 6*alpha^2 + lam*alpha + 1).
 
-Elements are stored on the power basis (1, alpha, alpha^2, alpha^3) with
-rational-function coefficients.  Products are reduced eagerly with the
-rewrite rule
+An element is stored on the power basis (1, alpha, alpha^2, alpha^3) in
+one integer form: four coefficient lists N0..N3 in Z[lam] over one
+denominator D in Z[lam],
+
+    (N0 + N1*alpha + N2*alpha^2 + N3*alpha^3) / D.
+
+The form is canonical -- gcd over Q[lam] of N0..N3 and D is 1, their
+integer content is 1, and lc(D) > 0 -- so equal values have equal
+representations, and equality and hashing compare them directly.  Every
+unit and conjugate the verifier meets lies in Z[1/2][lam][alpha], where D
+is an integer and canonicalizing divides out an integer content without
+a polynomial gcd.  ``c0``..``c3`` and ``coeffs`` give the coefficients as
+canonical ``RatFunc`` values, built on first use and kept on the element.
+
+Products are 16 integer convolutions, reduced with the rewrite rule
 
     alpha^4 = lam*alpha^3 + 6*alpha^2 - lam*alpha - 1
 
-applied from the top degree down.  The defining quartic is invariant
-under the order-4 Moebius map z -> (z - 1)/(z + 1), so its four roots
-inside K are
+applied from the top degree down.  The kernel takes the rule's integer
+form from the current value of ``REWRITE_ROW``, so swapping the tuple
+(as fault-injection tests do) takes effect on the next product.  An
+inverse solves the integer system of multiplication by a with Cramer's
+rule.  The defining quartic is invariant under the order-4 Moebius map
+z -> (z - 1)/(z + 1), so its four roots inside K are
 
     a1 = alpha
     a2 = (alpha - 1)/(alpha + 1)
@@ -22,50 +37,103 @@ conjugate powers are computed once and cached (call ``clear_caches`` if
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import gcd as gcd_int
 
 from .errors import SingularSystem, ZeroDivisor
-from .polynomials import LAM, Poly, RatFunc, bareiss_det, clear_denominators
+from .polynomials import (
+    LAM,
+    Poly,
+    RatFunc,
+    _as_poly,
+    _int_add,
+    _int_exquo,
+    _int_gcd,
+    _int_mul,
+)
 
 #: Coefficients of alpha^4 on the power basis (the rewrite rule).
 REWRITE_ROW = (RatFunc(-1), RatFunc(-LAM), RatFunc(6), RatFunc(LAM))
 
 _RF_ZERO = RatFunc(0)
-_RF_ONE = RatFunc(1)
+_ZERO_NUMS = ((), (), (), ())
+
+IntList = list[int]
 
 
-@dataclass(frozen=True)
 class RingElem:
-    """c0 + c1*alpha + c2*alpha^2 + c3*alpha^3 with RatFunc coefficients."""
+    """c0 + c1*alpha + c2*alpha^2 + c3*alpha^3, held as (N0..N3) / D over Z[lam]."""
 
-    c0: RatFunc
-    c1: RatFunc
-    c2: RatFunc
-    c3: RatFunc
+    __slots__ = ("_n", "_d", "_rf")
+
+    def __init__(self, c0, c1, c2, c3):
+        """From four coefficients, each a ``RatFunc``, ``Poly``, int or Fraction."""
+        fracs = [_fraction(c) for c in (c0, c1, c2, c3)]
+        den = [1]
+        for _, d in fracs:
+            den = _common_multiple(den, d)
+        nums = [_int_mul(n, _int_exquo(den, d)) for n, d in fracs]
+        e = _canon(nums, den)
+        self._n, self._d, self._rf = e._n, e._d, None
+
+    @classmethod
+    def _raw(cls, nums: tuple[tuple[int, ...], ...], den: tuple[int, ...]) -> RingElem:
+        """Wrap a form already known canonical."""
+        out = object.__new__(cls)
+        out._n = nums
+        out._d = den
+        out._rf = None
+        return out
 
     @staticmethod
     def of(c0=0, c1=0, c2=0, c3=0) -> RingElem:
-        return RingElem(_coerce(c0), _coerce(c1), _coerce(c2), _coerce(c3))
+        return RingElem(c0, c1, c2, c3)
 
     @property
     def coeffs(self) -> tuple[RatFunc, RatFunc, RatFunc, RatFunc]:
-        return (self.c0, self.c1, self.c2, self.c3)
+        rf = self._rf
+        if rf is None:
+            inv_den = RatFunc(1, Poly._of(list(self._d), 1))
+            rf = self._rf = tuple(
+                RatFunc(Poly._of(list(n), 1)) * inv_den if n else _RF_ZERO for n in self._n
+            )
+        return rf
+
+    c0 = property(lambda self: self.coeffs[0])
+    c1 = property(lambda self: self.coeffs[1])
+    c2 = property(lambda self: self.coeffs[2])
+    c3 = property(lambda self: self.coeffs[3])
 
     def is_scalar(self) -> bool:
-        return not (self.c1 or self.c2 or self.c3)
+        n = self._n
+        return not (n[1] or n[2] or n[3])
 
     def __bool__(self) -> bool:
-        return bool(self.c0 or self.c1 or self.c2 or self.c3)
+        return any(self._n)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RingElem):
+            return NotImplemented
+        return self._n == other._n and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._n, self._d))
 
     def __add__(self, other) -> RingElem:
         other = _as_elem(other)
-        return RingElem(*(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self._d, other._d
+        if da == db:
+            return _canon([_int_add(x, y) for x, y in zip(self._n, other._n)], da)
+        return _canon(
+            [_int_add(_int_mul(x, db), _int_mul(y, da)) for x, y in zip(self._n, other._n)],
+            _int_mul(da, db),
+        )
 
     __radd__ = __add__
 
     def __neg__(self) -> RingElem:
-        return RingElem(*(-c for c in self.coeffs))
+        return RingElem._raw(tuple(tuple(-v for v in n) for n in self._n), self._d)
 
     def __sub__(self, other) -> RingElem:
         return self + (-_as_elem(other))
@@ -74,9 +142,9 @@ class RingElem:
         return _as_elem(other) - self
 
     def __mul__(self, other) -> RingElem:
-        if isinstance(other, (int, RatFunc, Poly)):
-            s = _coerce(other)
-            return RingElem(*(c * s for c in self.coeffs))
+        if isinstance(other, (int, Fraction, RatFunc, Poly)):
+            sn, sd = _fraction(other)
+            return _canon([_int_mul(n, sn) for n in self._n], _int_mul(self._d, sd))
         return ring_mul(self, _as_elem(other))
 
     __rmul__ = __mul__
@@ -89,17 +157,67 @@ class RingElem:
         parts = [f"({c})" + n for c, n in zip(self.coeffs, names) if c]
         return " + ".join(parts) if parts else "0"
 
+    def __repr__(self) -> str:
+        return "RingElem({!r}, {!r}, {!r}, {!r})".format(*self.coeffs)
 
-def _coerce(x) -> RatFunc:
+
+def _fraction(x) -> tuple[IntList, IntList]:
+    """A coefficient as an integer numerator list over a nonzero denominator list."""
     if isinstance(x, RatFunc):
-        return x
-    return RatFunc(x)
+        n, d = x.num, x.den
+        return [v * d._d for v in n._n], [v * n._d for v in d._n]
+    p = _as_poly(x)
+    return list(p._n), [p._d]
+
+
+def _common_multiple(a: IntList, b: IntList) -> IntList:
+    """A multiple of both a and b in Z[lam] (their lcm up to a constant)."""
+    if len(a) == 1 and len(b) == 1:
+        return [a[0] * b[0] // gcd_int(a[0], b[0])]
+    return _int_mul(a, _int_exquo(b, _int_gcd(a, b)))
+
+
+def _trim(n: IntList) -> IntList:
+    while n and not n[-1]:
+        n.pop()
+    return n
+
+
+def _canon(nums: list[IntList], den: IntList) -> RingElem:
+    """The canonical element (nums[0] + ... + nums[3]*alpha^3) / den (den nonzero).
+
+    Each list is trimmed in place, so a tuple may come in only without
+    trailing zeros (a canonical ``_n`` or ``_d``).  A constant denominator needs only the integer content divided out;
+    otherwise the gcd over Q[lam] of the denominator and the numerators
+    is divided out first (exactly, since that gcd is primitive).
+    """
+    nums = [_trim(n) for n in nums]
+    if not any(nums):
+        return RingElem._raw(_ZERO_NUMS, (1,))
+    den = _trim(den)
+    if len(den) > 1:
+        g = den
+        for n in nums:
+            if n:
+                g = _int_gcd(g, n)
+                if len(g) == 1:
+                    break
+        if len(g) > 1:
+            nums = [_int_exquo(n, g) if n else n for n in nums]
+            den = _int_exquo(den, g)
+    c = gcd_int(*den, *nums[0], *nums[1], *nums[2], *nums[3])
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        nums = [[v // c for v in n] for n in nums]
+        den = [v // c for v in den]
+    return RingElem._raw(tuple(tuple(n) for n in nums), tuple(den))
 
 
 def _as_elem(x) -> RingElem:
     if isinstance(x, RingElem):
         return x
-    return RingElem(_coerce(x), _RF_ZERO, _RF_ZERO, _RF_ZERO)
+    return RingElem(x, 0, 0, 0)
 
 
 ZERO = RingElem.of(0)
@@ -107,74 +225,86 @@ ONE = RingElem.of(1)
 ALPHA = RingElem.of(0, 1)
 
 
-def _reduce(vec: list[RatFunc]) -> RingElem:
-    """Fold a degree <= 6 coefficient vector back onto the power basis."""
-    row = REWRITE_ROW
+@lru_cache(maxsize=1)
+def _int_row(row: tuple) -> RingElem:
+    """The rewrite row (coefficients of alpha^4) in the integer form."""
+    return RingElem(*row)
+
+
+def _fold(vec: list[IntList]) -> tuple[list[IntList], IntList]:
+    """Fold sum(vec[k] alpha^k), k up to 6, onto the power basis.
+
+    Returns the four folded numerator lists and the factor m that the
+    folding multiplied in (a power of the rewrite row's denominator; 1 for
+    a polynomial row): the value is the folded vector over m.
+    """
+    row = _int_row(REWRITE_ROW)
+    rows, e = row._n, list(row._d)
+    m = [1]
     for k in range(len(vec) - 1, 3, -1):
         c = vec[k]
         if c:
-            for j in range(4):
-                vec[k - 4 + j] = vec[k - 4 + j] + c * row[j]
-        vec[k] = _RF_ZERO
-    return RingElem(vec[0], vec[1], vec[2], vec[3])
+            if e != [1]:
+                vec = [_int_mul(v, e) for v in vec[:k]]
+                m = _int_mul(m, e)
+            for j, r in enumerate(rows):
+                if r:
+                    vec[k - 4 + j] = _int_add(vec[k - 4 + j], _int_mul(c, r))
+    return vec[:4], m
 
 
 def ring_mul(a: RingElem, b: RingElem) -> RingElem:
-    out = [_RF_ZERO] * 7
-    for i, x in enumerate(a.coeffs):
-        if not x:
-            continue
-        for j, y in enumerate(b.coeffs):
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return _reduce(out)
+    vec: list[IntList] = [[] for _ in range(7)]
+    for i, x in enumerate(a._n):
+        if x:
+            for j, y in enumerate(b._n):
+                if y:
+                    vec[i + j] = _int_add(vec[i + j], _int_mul(x, y))
+    nums, m = _fold(vec)
+    return _canon(nums, _int_mul(_int_mul(a._d, b._d), m))
 
 
-def _times_alpha(vec: tuple[RatFunc, ...]) -> tuple[RatFunc, ...]:
-    """Multiply a basis-coefficient vector by alpha (shift and rewrite)."""
-    row = REWRITE_ROW
-    top = vec[3]
-    shifted = [_RF_ZERO, vec[0], vec[1], vec[2]]
-    if top:
-        shifted = [s + top * r for s, r in zip(shifted, row)]
-    return tuple(shifted)
-
-
-def _solve(matrix: list[list[RatFunc]], rhs: list[RatFunc]) -> list[RatFunc]:
-    """Exact solve of a square rational-function system, fraction-free.
-
-    Each augmented row is scaled by the lcm of its denominators (row
-    scaling does not change the solution), leaving a polynomial system
-    that Cramer's rule solves with Bareiss determinants.  That keeps all
-    intermediate divisions exact instead of reducing fractions at every
-    elimination step.
-    """
-    n = len(matrix)
-    rows = [clear_denominators([*row, r])[0] for row, r in zip(matrix, rhs)]
-    det = bareiss_det([row[:n] for row in rows])
-    if not det:
-        raise SingularSystem("singular 4x4 system in ring inversion")
-    out: list[RatFunc] = []
-    for j in range(n):
-        numerator = bareiss_det(
-            [row[:j] + [row[n]] + row[j + 1 : n] for row in rows]
-        )
-        out.append(RatFunc(numerator, det))
-    return out
+def _int_sub(a: IntList, b: IntList) -> IntList:
+    return _int_add(a, [-v for v in b])
 
 
 def ring_inv(a: RingElem) -> RingElem:
-    """Multiplicative inverse via the multiplication-by-a matrix."""
+    """Multiplicative inverse via the integer matrix of multiplication by a.
+
+    Column k of the matrix is a*alpha^k = cols[k] / (D * m_k).  With the
+    columns scaled to integers, Cramer's rule for the first basis vector
+    needs the cofactors C_0k of the first row; x_k = D * m_k * C_0k / det.
+    The cofactors expand along the second row over the six 2x2 minors of
+    the last two rows, so no division occurs at all.
+    """
     if not a:
         raise ZeroDivisor("inverse of zero in the quartic ring")
-    col = a.coeffs
-    matrix: list[list[RatFunc]] = [[], [], [], []]
-    for _ in range(4):
-        for i in range(4):
-            matrix[i].append(col[i])
-        col = _times_alpha(col)
-    rhs = [_RF_ONE, _RF_ZERO, _RF_ZERO, _RF_ZERO]
-    return RingElem(*_solve(matrix, rhs))
+    col = list(a._n)
+    cols, scales = [col], [[1]]
+    for _ in range(3):
+        col, m = _fold([[], *col])
+        cols.append(col)
+        scales.append(_int_mul(scales[-1], m))
+    r0, r1, r2, r3 = ([c[i] for c in cols] for i in range(4))
+    minor = {
+        (p, q): _int_sub(_int_mul(r2[p], r3[q]), _int_mul(r2[q], r3[p]))
+        for p in range(4)
+        for q in range(p + 1, 4)
+    }
+    cof = []
+    for k in range(4):
+        p, q, s = (j for j in range(4) if j != k)
+        d3 = _int_add(
+            _int_sub(_int_mul(r1[p], minor[q, s]), _int_mul(r1[q], minor[p, s])),
+            _int_mul(r1[s], minor[p, q]),
+        )
+        cof.append(d3 if k % 2 == 0 else [-v for v in d3])
+    det: IntList = []
+    for x, c in zip(r0, cof):
+        det = _int_add(det, _int_mul(x, c))
+    if not _trim(det):
+        raise SingularSystem("singular 4x4 system in ring inversion")
+    return _canon([_int_mul(_int_mul(list(a._d), m), c) for m, c in zip(scales, cof)], det)
 
 
 def ring_pow(a: RingElem, n: int) -> RingElem:
@@ -200,11 +330,17 @@ def conjugates() -> tuple[RingElem, RingElem, RingElem, RingElem]:
 
 
 @lru_cache(maxsize=None)
-def _conjugate_powers() -> tuple[tuple[RingElem, ...], ...]:
+def _conjugate_powers() -> tuple[tuple[IntList, tuple[list[IntList], ...]], ...]:
+    """Per conjugate a: a denominator E and a^1..a^3 as numerator vectors over E."""
     table = []
     for a in conjugates():
         sq = ring_mul(a, a)
-        table.append((ONE, a, sq, ring_mul(sq, a)))
+        powers = (a, sq, ring_mul(sq, a))
+        e = [1]
+        for p in powers:
+            e = _common_multiple(e, list(p._d))
+        table.append((e, tuple([_int_mul(n, _int_exquo(e, p._d)) for n in p._n]
+                               for p in powers)))
     return tuple(table)
 
 
@@ -214,12 +350,13 @@ def galois(a: RingElem, i: int) -> RingElem:
         raise ValueError(f"automorphism index must be 1..4, got {i}")
     if i == 1:
         return a
-    powers = _conjugate_powers()[i - 1]
-    acc = _as_elem(a.c0)
-    for c, p in zip(a.coeffs[1:], powers[1:]):
+    e, powers = _conjugate_powers()[i - 1]
+    out = [_int_mul(a._n[0], e), [], [], []]
+    for c, p in zip(a._n[1:], powers):
         if c:
-            acc = acc + p * c
-    return acc
+            for j in range(4):
+                out[j] = _int_add(out[j], _int_mul(c, p[j]))
+    return _canon(out, _int_mul(list(a._d), e))
 
 
 def norm(a: RingElem) -> RatFunc:
@@ -236,7 +373,7 @@ def norm(a: RingElem) -> RatFunc:
 
 def elem_from_xy(x: Poly, y: Poly) -> RingElem:
     """The linear form x - alpha*y, the left side of the norm equation."""
-    return RingElem(RatFunc(x), RatFunc(-y), _RF_ZERO, _RF_ZERO)
+    return RingElem(x, -y, 0, 0)
 
 
 def f_lambda_eval(x: Poly, y: Poly) -> RatFunc:

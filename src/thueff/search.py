@@ -52,7 +52,12 @@ def admissible_exponents(budget: int = bounds.EXPONENT_BUDGET) -> list[Triple]:
     """All admissible triples, lexicographically ordered.
 
     The budget caps |r|, |s|, |t| individually (each coordinate is at most
-    the cost), so scanning the cube of side 2*budget+1 is exhaustive.
+    the cost), so (r, s) ranges over the square of side 2*budget+1.  For
+    fixed (r, s), with c = budget - max(0,-r) - max(0,-s) and u = r + s,
+    the admissible t solve max(0,-t) + max(0,u+t) <= c.  The left side is
+    convex in t with minimum max(0, u), and equals -t below min(0,-u) and
+    u + t above max(0,-u), so the t form the interval [-c, c - u] when
+    c >= max(0, u), and none otherwise.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -60,9 +65,10 @@ def admissible_exponents(budget: int = bounds.EXPONENT_BUDGET) -> list[Triple]:
     rng = range(-budget, budget + 1)
     for r in rng:
         for s in rng:
-            for t in rng:
-                if budget_cost(r, s, t) <= budget:
-                    out.append((r, s, t))
+            c = budget - max(0, -r) - max(0, -s)
+            u = r + s
+            if c >= max(0, u):
+                out.extend((r, s, t) for t in range(-c, c - u + 1))
     return out
 
 

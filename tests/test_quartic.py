@@ -5,17 +5,23 @@ and the minimal polynomial is the oracle for every claimed conjugate
 (f(conjugate) == 0); both are asserted before the pinned closed forms.
 Seeded random loops exercise the ring axioms, norms, the Galois action
 and the Siegel residual at smoke size (full size in the acceptance gate).
+The integer kernel is checked against the RatFunc-coefficient schoolbook
+kept in ``ring_oracle``, and its canonical form against values built by
+different routes.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import conftest
 import property_suites
+import ring_oracle
+from thueff import quartic
 from thueff.errors import ZeroDivisor
-from thueff.polynomials import LAM, ONE as P_ONE, Poly, RatFunc
+from thueff.polynomials import LAM, ONE as P_ONE, Poly, RatFunc, _int_gcd, _int_mul
 from thueff.quartic import (
     ALPHA,
     ONE,
@@ -221,6 +227,94 @@ def test_ring_pow_edge_cases():
     assert ring_pow(a, -2) == ring_mul(ring_inv(a), ring_inv(a))
     with pytest.raises(ZeroDivisor):
         ring_pow(ZERO, -1)
+
+
+# -- the integer kernel against the RatFunc schoolbook ----------------------------------
+
+
+def _is_canonical(e: RingElem) -> bool:
+    """gcd over Q[lam] of N0..N3 and D is 1, integer content 1, lc(D) > 0."""
+    nums, den = e._n, e._d
+    if not any(nums):
+        return den == (1,)
+    g = list(den)
+    for n in nums:
+        if n:
+            g = _int_gcd(g, n)
+    flat = [v for n in nums for v in n] + list(den)
+    return g == [1] and all(not n or n[-1] for n in nums) and den[-1] > 0 and gcd(*flat) == 1
+
+
+def test_kernel_matches_ratfunc_oracle():
+    rng = random.Random(20261018)
+    conj = ring_oracle.conjugates()
+    assert tuple(c.coeffs for c in conjugates()) == conj
+    rational = 0
+    for _ in range(40):
+        a = conftest.rand_elem(rng, nonzero=True, rational_every=3)
+        b = conftest.rand_elem(rng, rational_every=3)
+        rational += len(a._d) > 1
+        results = [
+            (ring_mul(a, b), ring_oracle.mul(a.coeffs, b.coeffs)),
+            (a + b, ring_oracle.add(a.coeffs, b.coeffs)),
+            (ring_inv(a), ring_oracle.inv(a.coeffs)),
+        ]
+        results += [(galois(a, i), ring_oracle.galois(a.coeffs, i, conj)) for i in (2, 3, 4)]
+        for got, expect in results:
+            assert got.coeffs == expect
+            assert _is_canonical(got)
+        assert norm(a) == ring_oracle.norm(a.coeffs, conj)
+    assert rational >= 5
+
+
+def test_equal_values_have_one_form():
+    rng = random.Random(20261019)
+    factor = list(conftest.rand_poly(rng, max_deg=2, nonzero=True)._n) + [1]
+    for _ in range(30):
+        a = conftest.rand_elem(rng, rational_every=3)
+        b = conftest.rand_elem(rng, nonzero=True, rational_every=3)
+        routes = [
+            ring_mul(ring_mul(a, b), ring_inv(b)),
+            quartic._canon([_int_mul(n, factor) for n in a._n], _int_mul(a._d, factor)),
+            quartic._canon([[-v for v in n] for n in a._n], [-v for v in a._d]),
+            quartic._canon([[6 * v for v in n] for n in a._n], [6 * v for v in a._d]),
+            (a * Poly(factor)) * RatFunc(1, Poly(factor)),
+            (a * 6) * Fraction(1, 6),
+            -(-a),
+            RingElem(*a.coeffs),
+        ]
+        for e in routes:
+            assert e == a and hash(e) == hash(a)
+            assert e._n == a._n and e._d == a._d
+
+
+def test_canonical_zero_one_and_a_single_rational_slot():
+    a = ALPHA + 3
+    assert (a - a)._n == ((), (), (), ()) and (a - a)._d == (1,)
+    assert a * 0 == ZERO == RingElem(RatFunc(0), 0, Poly(()), Fraction(0))
+    assert hash(a - a) == hash(ZERO)
+    assert ONE._n == ((1,), (), (), ()) and ONE._d == (1,)
+    assert RingElem(RatFunc(Poly((2,)), Poly((2,))), 0, 0, 0) == ONE
+    # (lam + 1) / (lam^2 - 1) in slot 2 only: the form is 1 / (lam - 1).
+    e = RingElem(0, 0, RatFunc(LAM + 1, LAM * LAM - 1), 0)
+    assert e._n == ((), (), (1,), ()) and e._d == (-1, 1)
+    assert e.coeffs == (RatFunc(0), RatFunc(0), RatFunc(1, LAM - 1), RatFunc(0))
+    assert e == RingElem.of(c2=RatFunc(2, 2 * LAM - 2))
+    # A half in one slot and polynomials elsewhere: one integer denominator.
+    h = RingElem(LAM, Fraction(1, 2), 0, -1)
+    assert h._n == ((0, 2), (1,), (), (-2,)) and h._d == (2,)
+    assert str(h) == "(0, 1 | 1) + (1/2 | 1)·α + (-1 | 1)·α^3"
+
+
+def test_swapped_rewrite_row_is_never_served_stale(monkeypatch):
+    # The integer row is cached; a swapped REWRITE_ROW must replace it at once.
+    assert ring_mul(ALPHA, ring_pow(ALPHA, 3)) == RingElem(*REWRITE_ROW)
+    for row in ((RatFunc(-2), RatFunc(-LAM), RatFunc(6), RatFunc(LAM)), (RatFunc(0),) * 4):
+        monkeypatch.setattr(quartic, "REWRITE_ROW", row)
+        assert ring_mul(ALPHA, ring_pow(ALPHA, 3)) == RingElem(*quartic.REWRITE_ROW)
+    assert ring_mul(ALPHA, ring_pow(ALPHA, 3)) == ZERO
+    monkeypatch.undo()
+    assert ring_mul(ALPHA, ring_pow(ALPHA, 3)) == RingElem(*REWRITE_ROW)
 
 
 # -- randomized batteries at smoke size ------------------------------------------------

@@ -31,17 +31,20 @@ from thueff.search import (
 from thueff.valuations import height_infinity, unit_valuation_identity, valuation_vector
 
 
-def brute_force_box_count(budget: int) -> int:
-    """Direct enumeration of the cost function over the full box."""
+def brute_force_box(budget: int) -> list:
+    """Direct enumeration of the cost function over the full box, in lexicographic order."""
     side = range(-budget - 1, budget + 2)  # one beyond, to catch fencepost slips
-    count = 0
-    for r in side:
-        for s in side:
-            for t in side:
-                cost = max(0, -r) + max(0, -s) + max(0, -t) + max(0, r + s + t)
-                if cost <= budget:
-                    count += 1
-    return count
+    return [
+        (r, s, t)
+        for r in side
+        for s in side
+        for t in side
+        if max(0, -r) + max(0, -s) + max(0, -t) + max(0, r + s + t) <= budget
+    ]
+
+
+def brute_force_box_count(budget: int) -> int:
+    return len(brute_force_box(budget))
 
 
 # -- the admissible box -----------------------------------------------------------
@@ -51,6 +54,11 @@ def test_admissible_count_matches_brute_force():
     triples = admissible_exponents(10)
     assert len(triples) == brute_force_box_count(10)
     assert len(triples) == 3871
+
+
+def test_admissible_list_equals_the_cube_filter():
+    for budget in range(13):
+        assert admissible_exponents(budget) == brute_force_box(budget), budget
 
 
 def test_admissible_membership_pinned():
