@@ -11,9 +11,12 @@ exponents below ``order``: zero below ``lead``, the coefficients of
 ``w`` on [lead, order).  A series that is zero as far as it is known
 ("zero to order") has w = 0 and ``lead == order``.  The arithmetic runs
 on ``Poly``'s integer kernel; ``coeffs`` builds the window as
-``Fraction``s on demand.  Truncation orders are tracked pessimistically
-through arithmetic; in particular a product of windows of orders m, n
-with leads p, q is only known to order min(p + n, q + m).
+``Fraction``s on demand.  Products, and both products of each Newton
+step of ``inv``, are short products (``Poly.mul_low``): they form only
+the terms below the order they keep, never the full product.
+Truncation orders are tracked pessimistically through arithmetic; in
+particular a product of windows of orders m, n with leads p, q is only
+known to order min(p + n, q + m).
 
 The quartic
 
@@ -131,8 +134,7 @@ class LaurentSeries:
             return self.scale(other)
         order = min(self._lead + other._order, other._lead + self._order)
         lo = self._lead + other._lead
-        n = order - lo
-        return _series(lo, self._w.truncate(n) * other._w.truncate(n), order)
+        return _series(lo, self._w.mul_low(other._w, order - lo), order)
 
     __rmul__ = __mul__
 
@@ -143,7 +145,8 @@ class LaurentSeries:
         """Multiplicative inverse, known to order ``order - 2*lead``.
 
         Newton iteration b <- b*(2 - w*b) on the window, doubling the
-        number of known terms each step.
+        number of known terms each step; both products of a step are
+        short products that form only the k terms the step keeps.
         """
         w = self._w
         if not w:
@@ -153,8 +156,8 @@ class LaurentSeries:
         k = 1
         while k < n:
             k = min(2 * k, n)
-            e = (w.truncate(k) * b).truncate(k)
-            b = (b * (2 - e)).truncate(k)
+            e = w.mul_low(b, k)
+            b = b.mul_low(2 - e, k)
         return _series(-self._lead, b, self._order - 2 * self._lead)
 
     def truncate(self, order: int) -> LaurentSeries:

@@ -20,7 +20,8 @@ This module supplies its two building blocks:
 ``Poly`` sums and products and the gcd run on kernels over integer
 coefficient lists (``_int_add``, ``_int_mul``, ``_int_gcd``; with
 ``_int_exquo`` for exact division), which the quartic ring's integer
-form shares.
+form shares.  ``_int_mul_low``, behind ``Poly.mul_low``, is the short
+product that series windows use: only the terms below a given power.
 """
 
 from __future__ import annotations
@@ -135,6 +136,10 @@ class Poly:
         return Poly._of(_int_mul(self._n, other._n), self._d * other._d)
 
     __rmul__ = __mul__
+
+    def mul_low(self, other: Poly, n: int) -> Poly:
+        """``(self * other).truncate(n)``, without forming the terms from x**n on."""
+        return Poly._of(_int_mul_low(self._n, other._n, n), self._d * other._d)
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
@@ -290,6 +295,23 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _int_mul_low(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The terms below x**n of the product, ``_int_mul(a, b)[:n]``; no term
+    at or above x**n is formed."""
+    if not a or not b or n <= 0:
+        return []
+    if len(a) > len(b):
+        a, b = b, a
+    n = min(n, len(a) + len(b) - 1)
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i]):
                 if y:
                     out[i + j] += x * y
     return out

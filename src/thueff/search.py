@@ -184,6 +184,11 @@ def search_trivial_units(
     return _search_triples(admissible_exponents(budget), budget, jobs)
 
 
+def _is_linear(beta: quartic.RingElem) -> bool:
+    """c2 = c3 = 0, read off the canonical integer numerators (zero is ``()``)."""
+    return not beta._n[2] and not beta._n[3]
+
+
 def _search_triples(triples: list[Triple], budget: int, jobs: int) -> list[Triple]:
     """``search_trivial_units`` on the box ``triples`` already enumerated at ``budget``."""
     limit = max(budget, 1)
@@ -202,8 +207,7 @@ def _search_triples(triples: list[Triple], budget: int, jobs: int) -> list[Tripl
         survivors = [t for part in parts for t in part]
     found = []
     for triple in sorted(survivors):
-        beta = quartic.unit_from_exponents(*triple)
-        if not beta.c2 and not beta.c3:
+        if _is_linear(quartic.unit_from_exponents(*triple)):
             found.append(triple)
     return found
 
@@ -258,7 +262,7 @@ def solution_classes(found: list[Triple] | None = None) -> list[SolutionClass]:
     classes = []
     for triple in found:
         beta = quartic.unit_from_exponents(*triple)
-        if beta.c2 or beta.c3:
+        if not _is_linear(beta):
             raise ReproductionFailure(
                 f"triple {triple} does not define a trivial unit"
             )
@@ -561,7 +565,7 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
     # The two checks of the hits fail, not pass vacuously, when none was confirmed.
     def found_unit_exact(triple: Triple) -> bool:
         beta = quartic.unit_from_exponents(*triple)
-        return (not beta.c2 and not beta.c3 and valuations.valuation_vector(beta)
+        return (_is_linear(beta) and valuations.valuation_vector(beta)
                 == valuations.unit_valuation_identity(*triple))
 
     check("found-units-exact", "ring arithmetic confirms every hit",

@@ -2,8 +2,9 @@
 
 Two independent oracles: plain Fraction-tuple windows with the truncated
 convolution and the inverse recurrence (a cross-check of the series
-arithmetic on ``Poly``'s integer kernel), and the defining equation
-itself: every lifted root is substituted back into the quartic and the
+arithmetic on ``Poly``'s integer kernel and its short products), and the
+defining equation itself: every lifted root is substituted back into the
+quartic, on the series kernel and on the Fraction windows, and the
 residual must be zero through the advertised precision. Pinned windows
 cover the geometric series, the four root expansions, rational-function
 expansion, precision bookkeeping and the error surface.
@@ -103,11 +104,14 @@ def ref_truncate(a, k):
 
 
 def _rand_window(rng):
-    """A reference window: zero heads, zeros inside, a shared denominator."""
+    """A reference window: zero heads, zeros inside, a shared denominator;
+    now and then a long one, or one that is zero to its order."""
     lead = rng.randint(-4, 4)
+    if rng.randrange(10) == 0:
+        return (lead, (), lead)
     den = rng.choice((1, 1, 2, 3, 6, 35))
     coeffs = []
-    for _ in range(rng.randint(0, 9)):
+    for _ in range(rng.randint(0, rng.choice((9, 9, 24)))):
         zero = rng.randrange(3) == 0
         coeffs.append(Fraction(0 if zero else rng.randint(-9, 9), den))
     if coeffs and rng.randrange(4) == 0:
@@ -130,6 +134,10 @@ def test_series_kernel_matches_fraction_reference_random():
             keep = rng.randint(1, len(ra[1]))
             tail = [Fraction(rng.randint(-9, 9), 7) for _ in range(rng.randint(0, 4))]
             rb = ref_series(ra[0], [-c for c in ra[1][:keep]] + tail, ra[0] + keep + len(tail))
+        elif trial % 4 == 1:
+            # b is a cut of a: the same lead and a lower order, which then
+            # bounds the order of the product
+            rb = ref_truncate(ra, rng.randint(ra[0], ra[2]))
         a = LaurentSeries(*ra)
         b = LaurentSeries(*rb)
         assert _as_ref(a) == ra and _as_ref(b) == rb
@@ -156,6 +164,22 @@ def test_series_kernel_matches_fraction_reference_random():
             assert a.coeff_at(e) == want
         checked += 1
     assert checked == 1000
+
+
+def test_inv_matches_the_recurrence_at_every_newton_length():
+    # Window lengths 1..33, odd ones included, so the Newton steps end on
+    # every step length the doubling can take (k -> min(2k, n)).
+    rng = random.Random(20261020)
+    for n in range(1, 34):
+        for _ in range(6):
+            lead = rng.randint(-3, 3)
+            den = rng.choice((1, 2, 6, 35))
+            coeffs = [Fraction(rng.choice((0, rng.randint(-9, 9))), den) for _ in range(n)]
+            coeffs[0] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), den)
+            ra = ref_series(lead, coeffs, lead + n)
+            got = LaurentSeries(*ra).inv()
+            assert _as_ref(got) == ref_inv(ra)
+            assert len(got.coeffs) == n
 
 
 # -- arithmetic on explicit windows ---------------------------------------------
@@ -291,6 +315,28 @@ def test_root_residuals_vanish_to_precision():
             assert tilde.order >= order - 2
             assert not full.resolved
             assert full.order >= order - 3
+
+
+def test_root_residuals_vanish_in_the_fraction_reference():
+    # The lift and the orbit run on the series kernel; the residual here
+    # runs on the Fraction-window reference alone, so a fault in the
+    # series product cannot hide itself.
+    order = 64
+    for s in quartic_roots(order):
+        x = _as_ref(s)
+        lam = ref_series(-1, [1] + [0] * (order + 8), order + 8)
+        one = ref_series(0, [1] + [0] * (order + 7), order + 8)
+        x2 = ref_mul(x, x)
+        x3 = ref_mul(x2, x)
+        x4 = ref_mul(x2, x2)
+        f = ref_add(x4, ref_neg(ref_mul(lam, x3)))
+        f = ref_add(f, ref_scale(x2, Fraction(-6)))
+        f = ref_add(f, ref_mul(lam, x))
+        f = ref_add(f, one)
+        # zero through the order the reference computes for it, which the
+        # factor lam and the powers of the lead -1 root bring down by at most 3
+        assert x4[1] and f == (f[2], (), f[2])
+        assert f[2] >= order - 3
 
 
 def test_lift_prefixes_are_stable():

@@ -28,6 +28,8 @@ from thueff.polynomials import (
     ZERO,
     Poly,
     RatFunc,
+    _int_mul,
+    _int_mul_low,
     bareiss_det,
     poly_gcd,
 )
@@ -163,10 +165,12 @@ def test_integer_kernel_matches_fraction_reference_random():
             ra, rb = ref_mul(ra, rc), ref_mul(rb, rc)
         a, b = Poly(ra), Poly(rb)
         assert a.coeffs == ra and b.coeffs == rb
+        k = rng.randint(-1, len(ra) + len(rb))
         for got, want in (
             (a + b, ref_add(ra, rb)),
             (a - b, ref_sub(ra, rb)),
             (a * b, ref_mul(ra, rb)),
+            (a.mul_low(b, k), _ref_trim(list(ref_mul(ra, rb)[: max(k, 0)]))),
             (a.monic(), ref_monic(ra)),
         ):
             assert_integer_canonical(got)
@@ -187,6 +191,63 @@ def test_integer_kernel_matches_fraction_reference_random():
         assert a(x) == ref_eval(ra, Fraction(x))
         cases += 1
     assert cases >= 1000
+
+
+def _rand_int_list(rng):
+    """Small and wide entries, zeros inside, zeros at either end, or empty."""
+    out = [
+        rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-10**30, 10**30)))
+        for _ in range(rng.randint(0, 9))
+    ]
+    if rng.randrange(4) == 0:
+        out = [0] * rng.randint(1, 3) + out
+    if rng.randrange(4) == 0:
+        out += [0] * rng.randint(1, 3)
+    return out
+
+
+def test_short_product_is_the_low_part_of_the_full_product_random():
+    # oracle: ``_int_mul``, the one full product, cut to its first n terms
+    rng = random.Random(20261019)
+    for _ in range(1500):
+        a, b = _rand_int_list(rng), _rand_int_list(rng)
+        full = _int_mul(a, b)
+        for n in range(-2, len(a) + len(b) + 2):
+            assert _int_mul_low(a, b, n) == full[: max(n, 0)], (a, b, n)
+
+
+def test_short_product_pinned():
+    assert _int_mul_low([1, 2], [3, 4], 1) == [3]
+    assert _int_mul_low([1, 2], [3, 4], 2) == [3, 10]
+    assert _int_mul_low([1, 2], [3, 4], 3) == [3, 10, 8]
+    assert _int_mul_low([1, 2], [3, 4], 9) == [3, 10, 8]
+    assert _int_mul_low([1, 2], [3, 4], 0) == [] == _int_mul_low([1, 2], [3, 4], -3)
+    assert _int_mul_low([], [3, 4], 2) == [] == _int_mul_low([3, 4], [], 2)
+    assert _int_mul_low([0, 0, 5], [7, 0], 3) == [0, 0, 35]
+    assert Poly((1, Fraction(1, 2))).mul_low(Poly((1, Fraction(-1, 2))), 2) == ONE
+    assert ZERO.mul_low(LAM, 3) == ZERO and LAM.mul_low(LAM, 2) == ZERO
+
+
+def test_short_product_forms_no_term_at_or_above_n():
+    formed = []
+
+    class Term:
+        """x**e as a coefficient whose products log their exponent."""
+
+        def __init__(self, e):
+            self.e = e
+
+        def __mul__(self, other):
+            formed.append(self.e + other.e)
+            return 1
+
+    for la, lb, n in ((5, 5, 5), (3, 8, 4), (8, 3, 6), (4, 4, 1), (2, 3, 9)):
+        formed.clear()
+        out = _int_mul_low([Term(i) for i in range(la)], [Term(j) for j in range(lb)], n)
+        assert max(formed) < n
+        # each product below x**n is formed exactly once
+        want = [sum(1 for i in range(la) if 0 <= k - i < lb) for k in range(min(n, la + lb - 1))]
+        assert out == want and len(formed) == sum(want)
 
 
 # -- coefficient windows ---------------------------------------------------------

@@ -4,10 +4,11 @@ The enumeration oracle is a direct brute-force loop over the search box,
 written before anything else is trusted. The scan's modular image is
 checked against the residues of exact units, its two linear forms per t
 against full products in that image, and a false modular survivor must
-be dropped by the exact confirmation; the certificate is
-exercised clean and with two corrupted rewrite rules (one caught at the
-Siegel check with every check evaluating, one whose singular ring turns
-the checks that cannot evaluate to ERROR).
+be dropped by the exact confirmation; the certificate is exercised
+clean, byte-identical at three working orders, and with two corrupted
+rewrite rules (one caught at the Siegel check with every check
+evaluating, one whose singular ring turns the checks that cannot
+evaluate to ERROR).
 """
 
 import random
@@ -16,6 +17,7 @@ import pytest
 
 from thueff import laurent, quartic, search, valuations
 from thueff.bounds import EXPONENT_BUDGET
+from thueff.cli import render_json
 from thueff.errors import ReproductionFailure
 from thueff.polynomials import LAM, RatFunc
 from thueff.quartic import norm, unit_from_exponents
@@ -122,7 +124,9 @@ def test_scan_linear_forms_match_the_full_product_on_the_box():
 
 def test_exact_confirmation_drops_a_false_modular_survivor(monkeypatch):
     scan = search._scan_chunk
-    monkeypatch.setattr(search, "_scan_chunk", lambda payload: scan(payload) + [(2, 0, 0)])
+    # alpha^2 (c2 = 1) and alpha^3 (c2 = 0, c3 = 1): each coordinate is tested
+    extra = [(2, 0, 0), (0, 3, 0)]
+    monkeypatch.setattr(search, "_scan_chunk", lambda payload: scan(payload) + extra)
     assert search_trivial_units() == list(TRIVIAL_TRIPLES)
 
 
@@ -206,8 +210,9 @@ def test_solution_class_constraints_are_polynomial_identities():
 
 
 def test_solution_classes_reject_foreign_triples():
-    with pytest.raises(ReproductionFailure):
-        solution_classes([(2, 0, 0)])
+    for triple in ((2, 0, 0), (0, 3, 0)):
+        with pytest.raises(ReproductionFailure):
+            solution_classes([triple])
 
 
 # -- the certificate -----------------------------------------------------------------------
@@ -223,6 +228,13 @@ def test_certificate_clean_run():
     assert len(cert.classes) == 4
     assert cert.search_budget == EXPONENT_BUDGET
     assert all(c.status in ("PASS", "FAIL") for c in cert.checks)
+
+
+def test_certificate_json_is_byte_identical_across_orders():
+    # A deeper working order reruns every series check on longer windows;
+    # the certificate it prints must not change by a byte.
+    texts = {o: render_json(verify_theorem(order=o).to_json()) for o in (8, 64, 128)}
+    assert texts[64] == texts[8] and texts[128] == texts[8]
 
 
 def test_certificate_json_shape():
