@@ -224,18 +224,6 @@ class Poly:
         """x**deg * self(1/x): the coefficients in reverse order."""
         return Poly._of(list(self._n[::-1]), self._d)
 
-    def __call__(self, value: Fraction | int) -> Fraction:
-        """Evaluate at a rational point p/q by Horner's rule over the integers."""
-        n = self._n
-        if not n:
-            return Fraction(0)
-        p, q = value.numerator, value.denominator
-        acc, qk = n[-1], 1
-        for c in reversed(n[:-1]):
-            qk *= q
-            acc = acc * p + c * qk
-        return Fraction(acc, self._d * qk)
-
     # -- comparison / hashing / text -------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -625,9 +613,6 @@ def _as_ratfunc(x):
         return RatFunc(x)
     return NotImplemented
 
-
-#: lam as a rational function, for building coefficient expressions.
-LAM_RF = RatFunc(LAM)
 
 RF_ZERO = RatFunc(0)
 RF_ONE = RatFunc(1)

@@ -30,15 +30,15 @@ z -> (z - 1)/(z + 1), so its four roots inside K are
     a3 = -1/alpha
     a4 = -1/a2
 
-and sending alpha to a_i extends to the i-th automorphism of K.  The
-conjugate powers are computed once and cached (call ``clear_caches`` if
-``REWRITE_ROW`` is ever swapped out, e.g. by a fault-injection test).
+and sending alpha to a_i extends to the i-th automorphism of K.  Every
+table derived from the rule (conjugates, their powers, unit powers) is
+built on first use and cached under the value of ``REWRITE_ROW``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd as gcd_int
 
 from .errors import SingularSystem, ZeroDivisor
@@ -94,6 +94,7 @@ class RingElem:
     def coeffs(self) -> tuple[RatFunc, RatFunc, RatFunc, RatFunc]:
         rf = self._rf
         if rf is None:
+            # Built as RatFunc(N) * (1/D): perfbench's tracer test counts norm()'s ratfunc_mul.
             inv_den = RatFunc(1, Poly._of(list(self._d), 1))
             rf = self._rf = tuple(
                 RatFunc(Poly._of(list(n), 1)) * inv_den if n else _RF_ZERO for n in self._n
@@ -225,12 +226,6 @@ ONE = RingElem.of(1)
 ALPHA = RingElem.of(0, 1)
 
 
-@lru_cache(maxsize=1)
-def _int_row(row: tuple) -> RingElem:
-    """The rewrite row (coefficients of alpha^4) in the integer form."""
-    return RingElem(*row)
-
-
 def _fold(vec: list[IntList]) -> tuple[list[IntList], IntList]:
     """Fold sum(vec[k] alpha^k), k up to 6, onto the power basis.
 
@@ -238,7 +233,7 @@ def _fold(vec: list[IntList]) -> tuple[list[IntList], IntList]:
     folding multiplied in (a power of the rewrite row's denominator; 1 for
     a polynomial row): the value is the folded vector over m.
     """
-    row = _int_row(REWRITE_ROW)
+    row = _tables(REWRITE_ROW).row
     rows, e = row._n, list(row._d)
     m = [1]
     for k in range(len(vec) - 1, 3, -1):
@@ -320,28 +315,9 @@ def ring_pow(a: RingElem, n: int) -> RingElem:
     return result
 
 
-@lru_cache(maxsize=None)
 def conjugates() -> tuple[RingElem, RingElem, RingElem, RingElem]:
     """The four roots of the defining quartic inside K (a1 = alpha)."""
-    a2 = ring_mul(ALPHA - 1, ring_inv(ALPHA + 1))
-    a3 = -ring_inv(ALPHA)
-    a4 = -ring_inv(a2)
-    return (ALPHA, a2, a3, a4)
-
-
-@lru_cache(maxsize=None)
-def _conjugate_powers() -> tuple[tuple[IntList, tuple[list[IntList], ...]], ...]:
-    """Per conjugate a: a denominator E and a^1..a^3 as numerator vectors over E."""
-    table = []
-    for a in conjugates():
-        sq = ring_mul(a, a)
-        powers = (a, sq, ring_mul(sq, a))
-        e = [1]
-        for p in powers:
-            e = _common_multiple(e, list(p._d))
-        table.append((e, tuple([_int_mul(n, _int_exquo(e, p._d)) for n in p._n]
-                               for p in powers)))
-    return tuple(table)
+    return _tables(REWRITE_ROW).conjugates
 
 
 def galois(a: RingElem, i: int) -> RingElem:
@@ -350,7 +326,7 @@ def galois(a: RingElem, i: int) -> RingElem:
         raise ValueError(f"automorphism index must be 1..4, got {i}")
     if i == 1:
         return a
-    e, powers = _conjugate_powers()[i - 1]
+    e, powers = _tables(REWRITE_ROW).conjugate_powers[i - 1]
     out = [_int_mul(a._n[0], e), [], [], []]
     for c, p in zip(a._n[1:], powers):
         if c:
@@ -397,38 +373,61 @@ def min_poly_value(a: RingElem) -> RingElem:
     return a4 - a3 * lam - a2 * 6 + a * lam + ONE
 
 
-_UNIT_BASES = None
-
-
-def _unit_bases() -> tuple[tuple[RingElem, RingElem], ...]:
-    """(base, base^-1) for the three fundamental units alpha-1, alpha, alpha+1."""
-    global _UNIT_BASES
-    if _UNIT_BASES is None:
-        bases = (ALPHA - 1, ALPHA, ALPHA + 1)
-        _UNIT_BASES = tuple((b, ring_inv(b)) for b in bases)
-    return _UNIT_BASES
-
-
-@lru_cache(maxsize=4096)
-def _base_power(which: int, e: int) -> RingElem:
-    if e == 0:
-        return ONE
-    base, inv_base = _unit_bases()[which]
-    if e > 0:
-        return ring_mul(_base_power(which, e - 1), base)
-    return ring_mul(_base_power(which, e + 1), inv_base)
-
-
 def unit_from_exponents(r: int, s: int, t: int) -> RingElem:
     """(alpha-1)^r * alpha^s * (alpha+1)^t, exactly."""
-    out = ring_mul(_base_power(0, r), _base_power(1, s))
-    return ring_mul(out, _base_power(2, t))
+    tables = _tables(REWRITE_ROW)
+    out = ring_mul(tables.unit_power(0, r), tables.unit_power(1, s))
+    return ring_mul(out, tables.unit_power(2, t))
+
+
+class _RowTables:
+    """Every table derived from one rewrite row, each built on first use."""
+
+    def __init__(self, row: tuple) -> None:
+        #: The rewrite row (coefficients of alpha^4) in the integer form.
+        self.row = RingElem(*row)
+        self._unit_powers = {(which, 0): ONE for which in range(3)}
+
+    @cached_property
+    def conjugates(self) -> tuple[RingElem, RingElem, RingElem, RingElem]:
+        a2 = ring_mul(ALPHA - 1, ring_inv(ALPHA + 1))
+        a3 = -ring_inv(ALPHA)
+        a4 = -ring_inv(a2)
+        return (ALPHA, a2, a3, a4)
+
+    @cached_property
+    def conjugate_powers(self) -> tuple[tuple[IntList, tuple[list[IntList], ...]], ...]:
+        """Per conjugate a: a denominator E and a^1..a^3 as numerator vectors over E."""
+        table = []
+        for a in self.conjugates:
+            sq = ring_mul(a, a)
+            powers = (a, sq, ring_mul(sq, a))
+            e = [1]
+            for p in powers:
+                e = _common_multiple(e, list(p._d))
+            table.append((e, tuple([_int_mul(n, _int_exquo(e, p._d)) for n in p._n]
+                                   for p in powers)))
+        return tuple(table)
+
+    @cached_property
+    def unit_bases(self) -> tuple[tuple[RingElem, RingElem], ...]:
+        """(base, base^-1) for the three fundamental units alpha-1, alpha, alpha+1."""
+        return tuple((b, ring_inv(b)) for b in (ALPHA - 1, ALPHA, ALPHA + 1))
+
+    def unit_power(self, which: int, e: int) -> RingElem:
+        """The which-th fundamental unit to the power e (of either sign), memoized."""
+        power = self._unit_powers.get((which, e))
+        if power is None:
+            # one more factor of base (e > 0) or base^-1 (e < 0) than the power toward 0
+            inner = self.unit_power(which, e - 1 if e > 0 else e + 1)
+            power = self._unit_powers[which, e] = ring_mul(inner, self.unit_bases[which][e < 0])
+        return power
+
+
+#: The tables of a rewrite row, by its value: call with the current ``REWRITE_ROW``.
+_tables = lru_cache(maxsize=1)(_RowTables)
 
 
 def clear_caches() -> None:
-    """Drop every cached table derived from REWRITE_ROW."""
-    global _UNIT_BASES
-    conjugates.cache_clear()
-    _conjugate_powers.cache_clear()
-    _base_power.cache_clear()
-    _UNIT_BASES = None
+    """Drop the cached tables (they are keyed by REWRITE_ROW, so a swap needs no call)."""
+    _tables.cache_clear()

@@ -10,13 +10,12 @@ whose power-basis coordinates satisfy c2 = c3 = 0.  The height chain in
     max(0,-r) + max(0,-s) + max(0,-t) + max(0, r+s+t) <= budget
 
 (budget 10 certifies every lam; each coordinate is bounded by the budget,
-so the box enumeration loses nothing).  The scan runs in the image of the
-ring under lam -> LAM0 modulo the prime P, where a ring element is four
-machine-size residues.  For a fixed t, c2 and c3 of x * (alpha + 1)**t are
-two linear forms in the residues of x, so each triple costs two dot
-products against the (r, s) part; a nonzero residue of c2 or c3 rules a
-triple out, and every survivor is confirmed in the exact ring of
-``quartic``.
+so the box enumeration loses nothing).  The scan runs in the image of
+the ring's integer numerators under lam -> LAM0, where a ring element is
+four integers.  For a fixed t, c2 and c3 of x * (alpha + 1)**t are two
+linear forms in the image of x, so each triple costs two dot products
+against the (r, s) part; a nonzero c2 or c3 in the image rules a triple
+out, and every survivor is confirmed in the exact ring of ``quartic``.
 ``verify_theorem`` reruns the whole pipeline at the certified budget and
 emits a machine-checkable certificate whose checks read PASS, FAIL, or
 ERROR (the check raised); it reads its series roots from the root table
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import bounds, laurent, quartic, valuations
-from .errors import ReproductionFailure
+from .errors import NotMonic, ReproductionFailure
 from .polynomials import LAM, Poly, RatFunc
 
 Triple = tuple[int, int, int]
@@ -72,41 +71,45 @@ def admissible_exponents(budget: int = bounds.EXPONENT_BUDGET) -> list[Triple]:
     return out
 
 
-# -- the scan: a modular image of the exact ring --------------------------------
+# -- the scan: an integer image of the exact ring ---------------------------------
 #
-# lam -> LAM0 followed by reduction modulo the prime P is a ring
-# homomorphism on the elements of Q(lam)[alpha]/(f) whose coefficients
-# are defined at LAM0 and have denominators prime to P; that includes
-# Z[1/2][lam][alpha]/(f), where every unit of the box lives.  A ring element
-# becomes a 4-tuple of residues.  A nonzero residue of c2 or c3 proves the
-# exact coordinate nonzero, so a rejected triple is rejected soundly; a
-# surviving triple is confirmed in the exact ring before it is reported.
-# The rewrite rule and the unit inverses are read from ``quartic``.
+# A ring element is N / D with N = N0 + N1*alpha + N2*alpha^2 + N3*alpha^3,
+# the N_i and D in Z[lam], and f is monic over Z[lam], so lam -> LAM0 is a
+# ring homomorphism from Z[lam][alpha]/(f) onto Z[alpha]/(f(LAM0)); the scan
+# multiplies the images of the numerators N, four integers each.  Soundness:
+# a unit's image is then the image of M times the unit, M in Z[lam] the
+# product of its factors' denominators, so a nonzero c2 or c3 there is the
+# value at LAM0 of M times the exact coordinate, which is therefore nonzero.
+# A surviving triple is confirmed in the exact ring before it is reported.
+# The rewrite row and the unit inverses are read from ``quartic``'s tables.
 #
 # The unit of (r, s, t) is x * u with x = (alpha - 1)**r * alpha**s and
 # u = (alpha + 1)**t.  Multiplying by u is linear in x, so c2 and c3 of
 # x * u are the dot products of x with the c2 and c3 entries of
 # alpha**i * u, i = 0..3: two 4-vectors per t, built once per scan.  Each
 # x is one product per (r, s) pair, shared by every t.  The dot products
-# are residues of the same image, so the test rejects exactly the triples
-# whose full product has a nonzero c2 or c3.
+# are integers of the same image, so the test rejects exactly the triples
+# whose full product has a nonzero c2 or c3 in the image.
 
-P = 2**61 - 1
 LAM0 = 1234567
 
-Residues = tuple[int, int, int, int]
+Image = tuple[int, int, int, int]
 
 
-def _residue(c: RatFunc) -> int:
-    value = c.num(LAM0) / c.den(LAM0)
-    return value.numerator * pow(value.denominator, -1, P) % P
+def _at_lam0(n) -> int:
+    """A Z[lam] coefficient list evaluated at LAM0 by Horner's rule."""
+    acc = 0
+    for c in reversed(n):
+        acc = acc * LAM0 + c
+    return acc
 
 
-def _image(coeffs) -> Residues:
-    return tuple(_residue(c) for c in coeffs)
+def _image(a: quartic.RingElem) -> Image:
+    """The image of a's numerators N0..N3 (of D * a)."""
+    return tuple(_at_lam0(n) for n in a._n)
 
 
-def _mul(a: Residues, b: Residues, row: Residues) -> Residues:
+def _mul(a: Image, b: Image, row: Image) -> Image:
     """Product in the image: convolve, then fold alpha^6..alpha^4 with ``row``."""
     vec = [0] * 7
     for i, x in enumerate(a):
@@ -114,34 +117,37 @@ def _mul(a: Residues, b: Residues, row: Residues) -> Residues:
             for j, y in enumerate(b):
                 vec[i + j] += x * y
     for k in (6, 5, 4):
-        c = vec[k] % P
+        c = vec[k]
         if c:
             for j in range(4):
                 vec[k - 4 + j] += c * row[j]
-    return tuple(x % P for x in vec[:4])
+    return tuple(vec[:4])
 
 
-def _power_tables(limit: int) -> tuple[Residues, tuple[dict[int, Residues], ...]]:
+def _power_tables(limit: int) -> tuple[Image, tuple[dict[int, Image], ...]]:
     """The rewrite row's image, and exponent -> image of each generator's power."""
-    row = _image(quartic.REWRITE_ROW)
+    tables = quartic._tables(quartic.REWRITE_ROW)
+    if tables.row._d != (1,):
+        raise NotMonic("the scan needs a rewrite row in Z[lam]")
+    row = _image(tables.row)
     one = (1, 0, 0, 0)
-    tables = []
-    for base, inv_base in quartic._unit_bases():
-        b, ib = _image(base.coeffs), _image(inv_base.coeffs)
+    out = []
+    for base, inv_base in tables.unit_bases:
+        b, ib = _image(base), _image(inv_base)
         tab = {0: one}
         for e in range(1, limit + 1):
             tab[e] = _mul(tab[e - 1], b, row)
             tab[-e] = _mul(tab[-(e - 1)], ib, row)
-        tables.append(tab)
-    return row, tuple(tables)
+        out.append(tab)
+    return row, tuple(out)
 
 
-_BASIS: tuple[Residues, ...] = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+_BASIS: tuple[Image, ...] = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def _linear_forms(
-    row: Residues, table: dict[int, Residues]
-) -> dict[int, tuple[Residues, Residues]]:
+    row: Image, table: dict[int, Image]
+) -> dict[int, tuple[Image, Image]]:
     """Exponent -> the c2 and c3 forms of multiplying by that power of ``table``."""
     forms = {}
     for e, u in table.items():
@@ -155,7 +161,7 @@ def _scan_chunk(payload: tuple[int, list[Triple]]) -> list[Triple]:
     limit, triples = payload
     row, (t0, t1, t2) = _power_tables(limit)
     forms = _linear_forms(row, t2)
-    pairs: dict[tuple[int, int], Residues] = {}
+    pairs: dict[tuple[int, int], Image] = {}
     found = []
     for r, s, t in triples:
         x = pairs.get((r, s))
@@ -163,9 +169,9 @@ def _scan_chunk(payload: tuple[int, list[Triple]]) -> list[Triple]:
             x = pairs[r, s] = _mul(t0[r], t1[s], row)
         x0, x1, x2, x3 = x
         (a0, a1, a2, a3), (b0, b1, b2, b3) = forms[t]
-        if (x0 * a0 + x1 * a1 + x2 * a2 + x3 * a3) % P:
+        if x0 * a0 + x1 * a1 + x2 * a2 + x3 * a3:
             continue
-        if (x0 * b0 + x1 * b1 + x2 * b2 + x3 * b3) % P:
+        if x0 * b0 + x1 * b1 + x2 * b2 + x3 * b3:
             continue
         found.append((r, s, t))
     return found
@@ -176,10 +182,10 @@ def search_trivial_units(
 ) -> list[Triple]:
     """Every admissible triple whose unit has c2 = c3 = 0, exactly.
 
-    The modular scan rejects the rest; each survivor is confirmed with
-    ``quartic.unit_from_exponents``.  The result is sorted lexicographically
-    and does not depend on the enumeration order, on how the triple space is
-    partitioned, or on the choice of P and LAM0.
+    The scan in the integer image rejects the rest; each survivor is
+    confirmed with ``quartic.unit_from_exponents``.  The result is sorted
+    lexicographically and does not depend on the enumeration order, on how
+    the triple space is partitioned, or on the choice of LAM0.
     """
     return _search_triples(admissible_exponents(budget), budget, jobs)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import thueff
-from thueff import cli, quartic, valuations
+from thueff import cli, quartic
 from thueff.errors import ReproductionFailure
 from thueff.polynomials import RatFunc
 
@@ -160,14 +160,10 @@ def test_verify_text_aligns_check_names_under_error(capsys):
     # others FAIL or PASS: every check name must still start in one column.
     original = quartic.REWRITE_ROW
     quartic.REWRITE_ROW = (RatFunc(0),) * 4
-    quartic.clear_caches()
-    valuations.clear_caches()
     try:
         code, out = run_cli(capsys, "verify")
     finally:
         quartic.REWRITE_ROW = original
-        quartic.clear_caches()
-        valuations.clear_caches()
     assert code == 1
     lines = out.strip().splitlines()[:-1]
     assert len(lines) == 23

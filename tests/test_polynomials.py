@@ -114,13 +114,6 @@ def ref_gcd(a: tuple, b: tuple) -> tuple:
     return ref_monic(a)
 
 
-def ref_eval(a: tuple, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def assert_integer_canonical(p: Poly) -> None:
     """Integer numerators, positive denominator, lowest terms, no trailing zero."""
     n, d = p._n, p._d
@@ -187,8 +180,6 @@ def test_integer_kernel_matches_fraction_reference_random():
             g = poly_gcd(a, b)
             assert_integer_canonical(g)
             assert g.coeffs == ref_gcd(ra, rb)
-        x = rng.choice((rng.randint(-50, 50), Fraction(rng.randint(-50, 50), rng.randint(1, 30))))
-        assert a(x) == ref_eval(ra, Fraction(x))
         cases += 1
     assert cases >= 1000
 

@@ -307,14 +307,23 @@ def test_canonical_zero_one_and_a_single_rational_slot():
 
 
 def test_swapped_rewrite_row_is_never_served_stale(monkeypatch):
-    # The integer row is cached; a swapped REWRITE_ROW must replace it at once.
-    assert ring_mul(ALPHA, ring_pow(ALPHA, 3)) == RingElem(*REWRITE_ROW)
+    # Every table derived from the row is cached under the row's value; a
+    # swapped REWRITE_ROW must replace them at once, with no clear_caches().
+    def healthy():
+        assert ring_mul(ALPHA, ring_pow(ALPHA, 3)) == RingElem(*REWRITE_ROW)
+        assert conjugates()[1] == ring_mul(ALPHA - 1, ring_inv(ALPHA + 1))
+        assert unit_from_exponents(-1, 0, 0) == ring_inv(ALPHA - 1)
+
+    healthy()  # also warms the conjugates and the unit powers
     for row in ((RatFunc(-2), RatFunc(-LAM), RatFunc(6), RatFunc(LAM)), (RatFunc(0),) * 4):
         monkeypatch.setattr(quartic, "REWRITE_ROW", row)
         assert ring_mul(ALPHA, ring_pow(ALPHA, 3)) == RingElem(*quartic.REWRITE_ROW)
+        if any(row):
+            assert conjugates()[1] == ring_mul(ALPHA - 1, ring_inv(ALPHA + 1))
+            assert unit_from_exponents(-1, 0, 0) == ring_inv(ALPHA - 1)
     assert ring_mul(ALPHA, ring_pow(ALPHA, 3)) == ZERO
     monkeypatch.undo()
-    assert ring_mul(ALPHA, ring_pow(ALPHA, 3)) == RingElem(*REWRITE_ROW)
+    healthy()
 
 
 # -- randomized batteries at smoke size ------------------------------------------------

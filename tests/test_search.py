@@ -1,14 +1,14 @@
 """The exponent-triple search and the end-to-end certificate.
 
 The enumeration oracle is a direct brute-force loop over the search box,
-written before anything else is trusted. The scan's modular image is
-checked against the residues of exact units, its two linear forms per t
-against full products in that image, and a false modular survivor must
-be dropped by the exact confirmation; the certificate is exercised
-clean, byte-identical at three working orders, and with two corrupted
-rewrite rules (one caught at the Siegel check with every check
-evaluating, one whose singular ring turns the checks that cannot
-evaluate to ERROR).
+written before anything else is trusted. The scan's integer image is
+checked against the images of exact units (up to the one nonzero factor
+the image leaves), its two linear forms per t against full products in
+that image, and a false survivor of the scan must be dropped by the exact
+confirmation; the certificate is exercised clean, byte-identical at three
+working orders, and with two corrupted rewrite rules (one caught at the
+Siegel check with every check evaluating, one whose singular ring turns
+the checks that cannot evaluate to ERROR).
 """
 
 import random
@@ -18,7 +18,7 @@ import pytest
 from thueff import laurent, quartic, search, valuations
 from thueff.bounds import EXPONENT_BUDGET
 from thueff.cli import render_json
-from thueff.errors import ReproductionFailure
+from thueff.errors import NotMonic, ReproductionFailure
 from thueff.polynomials import LAM, RatFunc
 from thueff.quartic import norm, unit_from_exponents
 from thueff.search import (
@@ -86,16 +86,23 @@ def test_admissible_smaller_budgets_nest():
         assert set(admissible_exponents(budget)) <= big
 
 
-# -- the modular image used by the scan ---------------------------------------------
+# -- the integer image used by the scan ----------------------------------------------
 
 
 def test_residue_image_matches_scan_tables():
+    # The image drops each element's denominator and canonical content, so the
+    # table product and the exact unit's image agree up to one nonzero factor.
     row, (t0, t1, t2) = search._power_tables(2)
     for r in range(-2, 3):
         for s in range(-2, 3):
             for t in range(-2, 3):
                 product = search._mul(search._mul(t0[r], t1[s], row), t2[t], row)
-                assert search._image(unit_from_exponents(r, s, t).coeffs) == product
+                image = search._image(unit_from_exponents(r, s, t))
+                assert any(product) and any(image)
+                assert all(
+                    product[i] * image[j] == product[j] * image[i]
+                    for i in range(4) for j in range(4)
+                ), (r, s, t)
 
 
 def _full_product_route(budget):
@@ -113,7 +120,7 @@ def test_scan_linear_forms_match_the_full_product_on_the_box():
     forms = search._linear_forms(row, t2)
     for (r, s, t), image in route.items():
         x = search._mul(t0[r], t1[s], row)
-        c2, c3 = (sum(a * b for a, b in zip(x, form)) % search.P for form in forms[t])
+        c2, c3 = (sum(a * b for a, b in zip(x, form)) for form in forms[t])
         assert (c2, c3) == image[2:], (r, s, t)
     # The scan keeps exactly the triples whose full product has c2 = c3 = 0.
     for budget in range(EXPONENT_BUDGET + 1):
@@ -128,6 +135,14 @@ def test_exact_confirmation_drops_a_false_modular_survivor(monkeypatch):
     extra = [(2, 0, 0), (0, 3, 0)]
     monkeypatch.setattr(search, "_scan_chunk", lambda payload: scan(payload) + extra)
     assert search_trivial_units() == list(TRIVIAL_TRIPLES)
+
+
+def test_scan_refuses_a_rewrite_row_outside_z_lam(monkeypatch):
+    # The image is a ring homomorphism only while f is monic over Z[lam].
+    row = (RatFunc(-1) / 2, RatFunc(-LAM), RatFunc(6), RatFunc(LAM))
+    monkeypatch.setattr(quartic, "REWRITE_ROW", row)
+    with pytest.raises(NotMonic):
+        search._scan_chunk((1, [(0, 0, 0)]))
 
 
 # -- the search itself -----------------------------------------------------------------
@@ -281,8 +296,6 @@ def test_verifier_lifts_the_series_roots_once(monkeypatch):
 def test_tampered_rewrite_rule_is_caught_at_the_siegel_check():
     original = quartic.REWRITE_ROW
     quartic.REWRITE_ROW = (RatFunc(-2), RatFunc(-LAM), RatFunc(6), RatFunc(LAM))
-    quartic.clear_caches()
-    valuations.clear_caches()
     try:
         with pytest.raises(ReproductionFailure) as exc_info:
             verify_theorem()
@@ -294,8 +307,6 @@ def test_tampered_rewrite_rule_is_caught_at_the_siegel_check():
         assert all(c.status in ("PASS", "FAIL") for c in cert.checks)
     finally:
         quartic.REWRITE_ROW = original
-        quartic.clear_caches()
-        valuations.clear_caches()
     # the restored ring is healthy again
     assert verify_theorem().passed
 
@@ -305,8 +316,6 @@ def test_all_zero_rewrite_rule_is_caught_at_the_search_check():
     # the scan's tables, cannot be built.
     original = quartic.REWRITE_ROW
     quartic.REWRITE_ROW = (RatFunc(0),) * 4
-    quartic.clear_caches()
-    valuations.clear_caches()
     try:
         with pytest.raises(ReproductionFailure) as exc_info:
             verify_theorem()
@@ -334,6 +343,4 @@ def test_all_zero_rewrite_rule_is_caught_at_the_search_check():
         )
     finally:
         quartic.REWRITE_ROW = original
-        quartic.clear_caches()
-        valuations.clear_caches()
     assert verify_theorem().passed
