@@ -9,19 +9,20 @@ This module supplies its two building blocks:
   denominator, in lowest terms: gcd(denominator, *numerators) = 1.  The
   zero polynomial is ``((), 1)`` and its degree is the ``-inf`` sentinel
   (never fed back into exponent arithmetic).  The arithmetic runs on the
-  integers; ``coeffs``, indexing and ``lc`` still yield
-  ``fractions.Fraction`` values, built on demand.  ``truncate``,
-  ``shift``, ``reversed`` and ``low_degree`` serve the series windows of
-  ``laurent``.
+  integers; ``coeffs`` and indexing still yield ``fractions.Fraction``
+  values, built on demand.  ``truncate``, ``shift``, ``reversed`` and
+  ``low_degree`` serve the series windows of ``laurent``.
 * ``RatFunc`` -- quotients of two ``Poly`` values, canonicalized eagerly:
   numerator and denominator are coprime and the denominator is monic, so
-  equality of values is equality of representations.
+  equality of values is equality of representations.  Sums and products
+  leave the reduction to the constructor.
 
-``Poly`` sums and products and the gcd run on kernels over integer
-coefficient lists (``_int_add``, ``_int_mul``, ``_int_gcd``; with
-``_int_exquo`` for exact division), which the quartic ring's integer
-form shares.  ``_int_mul_low``, behind ``Poly.mul_low``, is the short
-product that series windows use: only the terms below a given power.
+``Poly`` sums and products, the gcd and the exact quotient ``//`` (no
+remainder operation) run on kernels over integer coefficient lists
+(``_int_add``, ``_int_mul``, ``_int_gcd``, ``_int_exquo``), which the
+quartic ring's integer form shares.  ``_int_mul_low``, behind
+``Poly.mul_low``, is the short product that series windows use: only
+the terms below a given power.
 """
 
 from __future__ import annotations
@@ -89,11 +90,6 @@ class Poly:
         return Fraction(0)
 
     @property
-    def lc(self) -> Fraction:
-        """Leading coefficient; zero for the zero polynomial."""
-        return Fraction(self._n[-1], self._d) if self._n else Fraction(0)
-
-    @property
     def low_degree(self):
         """Index of the lowest nonzero coefficient, or ``inf`` for zero."""
         return next((i for i, v in enumerate(self._n) if v), _INF)
@@ -153,50 +149,17 @@ class Poly:
             n >>= 1
         return result
 
-    def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
-        """Exact division with remainder; raises ZeroDivisor on a zero divisor.
-
-        Pseudo-division over Z on the numerators: ``scale * a = q * b + r``
-        holds throughout, where ``scale`` gathers only the factors of
-        lc(b) that an exact integer quotient step could not avoid.  The
-        rational quotient and remainder follow by one rescaling at the end.
-        """
+    def __floordiv__(self, other: Poly) -> Poly:
+        """The exact quotient: ZeroDivisor for a zero ``other``, ValueError
+        for one that does not divide.  The long division runs on the integer
+        numerators over ``other``'s primitive part (Gauss's lemma)."""
         other = _as_poly(other)
         if not other:
             raise ZeroDivisor("polynomial division by zero")
-        if not self:
-            return ZERO, ZERO
-        b = other._n
-        db = len(b) - 1
-        lb = b[-1]
-        r = list(self._n)
-        q = [0] * max(len(r) - db, 0)
-        scale = 1
-        for k in range(len(r) - 1, db - 1, -1):
-            c = r[k]
-            if not c:
-                continue
-            if c % lb:
-                m = lb // gcd_int(c, lb)
-                r = [m * v for v in r]
-                q = [m * v for v in q]
-                scale *= m
-                c = r[k]
-            c //= lb
-            q[k - db] = c
-            for j in range(db + 1):
-                r[k - db + j] -= c * b[j]
-        # a / d_a = (q d_b / (scale d_a)) (b / d_b) + r / (scale d_a)
-        den = scale * self._d
-        if other._d != 1:
-            q = [v * other._d for v in q]
-        return Poly._of(q, den), Poly._of(r[:db], den)
-
-    def __floordiv__(self, other: Poly) -> Poly:
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: Poly) -> Poly:
-        return divmod(self, other)[1]
+        c = gcd_int(*other._n)
+        q = _int_exquo(self._n, [v // c for v in other._n])
+        # (a / d_a) / (c * p / d_b) = (q * d_b) / (c * d_a), with q = a / p
+        return Poly._of([v * other._d for v in q], c * self._d)
 
     def monic(self) -> Poly:
         """Scale to leading coefficient 1 (zero stays zero)."""
@@ -306,14 +269,14 @@ def _int_mul_low(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
 
 
 def _int_exquo(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """The quotient a / b, for a nonzero b that divides a in Z[x].
+    """The quotient a / b, for a nonzero b that divides a in Z[x]; ValueError
+    if b does not.
 
     Every b that is primitive and divides a over Q qualifies (Gauss's
-    lemma), so each long-division step below is an exact integer quotient.
+    lemma), so each long-division step below is an exact integer quotient;
+    an inexact step would leave its residue in ``r``.
     """
     lb = b[-1]
-    if len(b) == 1:
-        return [v // lb for v in a]
     r = list(a)
     db = len(b) - 1
     q = [0] * max(len(r) - db, 0)
@@ -324,6 +287,8 @@ def _int_exquo(a: Sequence[int], b: Sequence[int]) -> list[int]:
             q[k - db] = c
             for j in range(db + 1):
                 r[k - db + j] -= c * b[j]
+    if any(r):
+        raise ValueError("the divisor does not divide exactly")
     return q
 
 
@@ -497,32 +462,9 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._num:
-            return other
-        if not other._num:
-            return self
         n1, d1 = self._num, self._den
         n2, d2 = other._num, other._den
-        if d1 == ONE and d2 == ONE:
-            return RatFunc._raw(n1 + n2, ONE)
-        g = poly_gcd(d1, d2)
-        if g == ONE:
-            num = n1 * d2 + n2 * d1
-            if not num:
-                return RF_ZERO
-            return RatFunc._raw(num, d1 * d2)
-        # Shared denominator factor: reduce against it once, which is all
-        # the cancellation the sum can have (gcd(d1/g, d2/g) = 1).
-        d1r = d1 // g
-        d2r = d2 // g
-        num = n1 * d2r + n2 * d1r
-        if not num:
-            return RF_ZERO
-        h = poly_gcd(num, g)
-        if h != ONE:
-            num //= h
-            g //= h
-        return RatFunc._raw(num, g * d1r * d2r)
+        return RatFunc(n1 * d2 + n2 * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -545,23 +487,7 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._num or not other._num:
-            return RF_ZERO
-        n1, d1 = self._num, self._den
-        n2, d2 = other._num, other._den
-        if d1 == ONE and d2 == ONE:
-            return RatFunc._raw(n1 * n2, ONE)
-        # Cross-cancel before multiplying: afterwards numerator and
-        # denominator are coprime by construction, no final gcd needed.
-        g1 = poly_gcd(n1, d2)
-        if g1 != ONE:
-            n1 //= g1
-            d2 //= g1
-        g2 = poly_gcd(n2, d1)
-        if g2 != ONE:
-            n2 //= g2
-            d1 //= g2
-        return RatFunc._raw(n1 * n2, d1 * d2)
+        return RatFunc(self._num * other._num, self._den * other._den)
 
     __rmul__ = __mul__
 

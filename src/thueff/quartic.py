@@ -19,11 +19,13 @@ Products are 16 integer convolutions, reduced with the rewrite rule
     alpha^4 = lam*alpha^3 + 6*alpha^2 - lam*alpha - 1
 
 applied from the top degree down.  The kernel takes the rule's integer
-form from the current value of ``REWRITE_ROW``, so swapping the tuple
-(as fault-injection tests do) takes effect on the next product.  An
-inverse solves the integer system of multiplication by a with Cramer's
-rule.  The defining quartic is invariant under the order-4 Moebius map
-z -> (z - 1)/(z + 1), so its four roots inside K are
+form from the current ``REWRITE_ROW``, so swapping the tuple (as
+fault-injection tests do) takes effect on the next product.  The row must
+lie in Z[lam] (``NotMonic`` otherwise): f is then monic over Z[lam], and
+folding never leaves Z[lam].  An inverse solves the integer system of
+multiplication by a with Cramer's rule.  The defining quartic is
+invariant under the order-4 Moebius map z -> (z - 1)/(z + 1), so its
+four roots inside K are
 
     a1 = alpha
     a2 = (alpha - 1)/(alpha + 1)
@@ -32,16 +34,17 @@ z -> (z - 1)/(z + 1), so its four roots inside K are
 
 and sending alpha to a_i extends to the i-th automorphism of K.  Every
 table derived from the rule (conjugates, their powers, unit powers) is
-built on first use and cached under the value of ``REWRITE_ROW``.
+built on first use and kept with the ``REWRITE_ROW`` object it was built
+from; another object in ``REWRITE_ROW`` gets new tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd as gcd_int
 
-from .errors import SingularSystem, ZeroDivisor
+from .errors import NotMonic, SingularSystem, ZeroDivisor
 from .polynomials import (
     LAM,
     Poly,
@@ -94,7 +97,8 @@ class RingElem:
     def coeffs(self) -> tuple[RatFunc, RatFunc, RatFunc, RatFunc]:
         rf = self._rf
         if rf is None:
-            # Built as RatFunc(N) * (1/D): perfbench's tracer test counts norm()'s ratfunc_mul.
+            # Built as RatFunc(N) * (1/D): perfbench's tracer test counts norm()'s
+            # ratfunc_mul (pinned in test_tooling_contract).
             inv_den = RatFunc(1, Poly._of(list(self._d), 1))
             rf = self._rf = tuple(
                 RatFunc(Poly._of(list(n), 1)) * inv_den if n else _RF_ZERO for n in self._n
@@ -226,26 +230,19 @@ ONE = RingElem.of(1)
 ALPHA = RingElem.of(0, 1)
 
 
-def _fold(vec: list[IntList]) -> tuple[list[IntList], IntList]:
+def _fold(vec: list[IntList]) -> list[IntList]:
     """Fold sum(vec[k] alpha^k), k up to 6, onto the power basis.
 
-    Returns the four folded numerator lists and the factor m that the
-    folding multiplied in (a power of the rewrite row's denominator; 1 for
-    a polynomial row): the value is the folded vector over m.
+    Returns the four folded numerator lists, in Z[lam] like the rewrite row.
     """
-    row = _tables(REWRITE_ROW).row
-    rows, e = row._n, list(row._d)
-    m = [1]
+    rows = _tables().row._n
     for k in range(len(vec) - 1, 3, -1):
         c = vec[k]
         if c:
-            if e != [1]:
-                vec = [_int_mul(v, e) for v in vec[:k]]
-                m = _int_mul(m, e)
             for j, r in enumerate(rows):
                 if r:
                     vec[k - 4 + j] = _int_add(vec[k - 4 + j], _int_mul(c, r))
-    return vec[:4], m
+    return vec[:4]
 
 
 def ring_mul(a: RingElem, b: RingElem) -> RingElem:
@@ -255,8 +252,7 @@ def ring_mul(a: RingElem, b: RingElem) -> RingElem:
             for j, y in enumerate(b._n):
                 if y:
                     vec[i + j] = _int_add(vec[i + j], _int_mul(x, y))
-    nums, m = _fold(vec)
-    return _canon(nums, _int_mul(_int_mul(a._d, b._d), m))
+    return _canon(_fold(vec), _int_mul(a._d, b._d))
 
 
 def _int_sub(a: IntList, b: IntList) -> IntList:
@@ -266,20 +262,17 @@ def _int_sub(a: IntList, b: IntList) -> IntList:
 def ring_inv(a: RingElem) -> RingElem:
     """Multiplicative inverse via the integer matrix of multiplication by a.
 
-    Column k of the matrix is a*alpha^k = cols[k] / (D * m_k).  With the
-    columns scaled to integers, Cramer's rule for the first basis vector
-    needs the cofactors C_0k of the first row; x_k = D * m_k * C_0k / det.
+    Column k of the matrix is a*alpha^k = cols[k] / D.  With the columns
+    scaled to integers, Cramer's rule for the first basis vector needs the
+    cofactors C_0k of the first row; x_k = D * C_0k / det.
     The cofactors expand along the second row over the six 2x2 minors of
     the last two rows, so no division occurs at all.
     """
     if not a:
         raise ZeroDivisor("inverse of zero in the quartic ring")
-    col = list(a._n)
-    cols, scales = [col], [[1]]
+    cols = [list(a._n)]
     for _ in range(3):
-        col, m = _fold([[], *col])
-        cols.append(col)
-        scales.append(_int_mul(scales[-1], m))
+        cols.append(_fold([[], *cols[-1]]))
     r0, r1, r2, r3 = ([c[i] for c in cols] for i in range(4))
     minor = {
         (p, q): _int_sub(_int_mul(r2[p], r3[q]), _int_mul(r2[q], r3[p]))
@@ -299,7 +292,7 @@ def ring_inv(a: RingElem) -> RingElem:
         det = _int_add(det, _int_mul(x, c))
     if not _trim(det):
         raise SingularSystem("singular 4x4 system in ring inversion")
-    return _canon([_int_mul(_int_mul(list(a._d), m), c) for m, c in zip(scales, cof)], det)
+    return _canon([_int_mul(a._d, c) for c in cof], det)
 
 
 def ring_pow(a: RingElem, n: int) -> RingElem:
@@ -317,7 +310,7 @@ def ring_pow(a: RingElem, n: int) -> RingElem:
 
 def conjugates() -> tuple[RingElem, RingElem, RingElem, RingElem]:
     """The four roots of the defining quartic inside K (a1 = alpha)."""
-    return _tables(REWRITE_ROW).conjugates
+    return _tables().conjugates
 
 
 def galois(a: RingElem, i: int) -> RingElem:
@@ -326,7 +319,7 @@ def galois(a: RingElem, i: int) -> RingElem:
         raise ValueError(f"automorphism index must be 1..4, got {i}")
     if i == 1:
         return a
-    e, powers = _tables(REWRITE_ROW).conjugate_powers[i - 1]
+    e, powers = _tables().conjugate_powers[i - 1]
     out = [_int_mul(a._n[0], e), [], [], []]
     for c, p in zip(a._n[1:], powers):
         if c:
@@ -375,7 +368,7 @@ def min_poly_value(a: RingElem) -> RingElem:
 
 def unit_from_exponents(r: int, s: int, t: int) -> RingElem:
     """(alpha-1)^r * alpha^s * (alpha+1)^t, exactly."""
-    tables = _tables(REWRITE_ROW)
+    tables = _tables()
     out = ring_mul(tables.unit_power(0, r), tables.unit_power(1, s))
     return ring_mul(out, tables.unit_power(2, t))
 
@@ -384,8 +377,12 @@ class _RowTables:
     """Every table derived from one rewrite row, each built on first use."""
 
     def __init__(self, row: tuple) -> None:
+        #: The row object these tables were built from.
+        self.source = row
         #: The rewrite row (coefficients of alpha^4) in the integer form.
         self.row = RingElem(*row)
+        if self.row._d != (1,):
+            raise NotMonic("the rewrite row must lie in Z[lam]")
         self._unit_powers = {(which, 0): ONE for which in range(3)}
 
     @cached_property
@@ -424,10 +421,19 @@ class _RowTables:
         return power
 
 
-#: The tables of a rewrite row, by its value: call with the current ``REWRITE_ROW``.
-_tables = lru_cache(maxsize=1)(_RowTables)
+_current: _RowTables | None = None
+
+
+def _tables() -> _RowTables:
+    """The tables of the current ``REWRITE_ROW``, rebuilt when it is another object."""
+    global _current
+    tables = _current
+    if tables is None or tables.source is not REWRITE_ROW:
+        tables = _current = _RowTables(REWRITE_ROW)
+    return tables
 
 
 def clear_caches() -> None:
-    """Drop the cached tables (they are keyed by REWRITE_ROW, so a swap needs no call)."""
-    _tables.cache_clear()
+    """Drop the cached tables (a swapped REWRITE_ROW replaces them without this call)."""
+    global _current
+    _current = None

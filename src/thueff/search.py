@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import bounds, laurent, quartic, valuations
-from .errors import NotMonic, ReproductionFailure
+from .errors import ReproductionFailure
 from .polynomials import LAM, Poly, RatFunc
 
 Triple = tuple[int, int, int]
@@ -81,7 +81,8 @@ def admissible_exponents(budget: int = bounds.EXPONENT_BUDGET) -> list[Triple]:
 # product of its factors' denominators, so a nonzero c2 or c3 there is the
 # value at LAM0 of M times the exact coordinate, which is therefore nonzero.
 # A surviving triple is confirmed in the exact ring before it is reported.
-# The rewrite row and the unit inverses are read from ``quartic``'s tables.
+# The rewrite row and the unit inverses are read from ``quartic``'s tables,
+# which refuse a row outside Z[lam] (``NotMonic``).
 #
 # The unit of (r, s, t) is x * u with x = (alpha - 1)**r * alpha**s and
 # u = (alpha + 1)**t.  Multiplying by u is linear in x, so c2 and c3 of
@@ -126,9 +127,7 @@ def _mul(a: Image, b: Image, row: Image) -> Image:
 
 def _power_tables(limit: int) -> tuple[Image, tuple[dict[int, Image], ...]]:
     """The rewrite row's image, and exponent -> image of each generator's power."""
-    tables = quartic._tables(quartic.REWRITE_ROW)
-    if tables.row._d != (1,):
-        raise NotMonic("the scan needs a rewrite row in Z[lam]")
+    tables = quartic._tables()
     row = _image(tables.row)
     one = (1, 0, 0, 0)
     out = []
@@ -272,13 +271,14 @@ def solution_classes(found: list[Triple] | None = None) -> list[SolutionClass]:
             raise ReproductionFailure(
                 f"triple {triple} does not define a trivial unit"
             )
-        x_rf, y_rf = beta.c0, -beta.c1
-        if not (x_rf.den.is_constant() and y_rf.den.is_constant()):
+        # beta = (N0 + N1*alpha) / D: x = N0 / D and y = -N1 / D
+        (n0, n1, _, _), den = beta._n, beta._d
+        if len(den) != 1:
             raise ReproductionFailure(f"triple {triple} gave non-polynomial x, y")
-        x = x_rf.num[0] if x_rf.num.is_constant() else None
-        y = y_rf.num[0] if y_rf.num.is_constant() else None
-        if x is None or y is None:
+        if len(n0) > 1 or len(n1) > 1:
             raise ReproductionFailure(f"triple {triple} gave non-constant x, y")
+        x = Fraction(n0[0] if n0 else 0, den[0])
+        y = Fraction(-n1[0] if n1 else 0, den[0])
         if x < 0 or (x == 0 and y < 0):
             x, y = -x, -y
         xi = quartic.f_lambda_eval(Poly((x,)), Poly((y,)))

@@ -11,7 +11,9 @@ The series roots are lifted here and nowhere else in the verify
 pipeline: ``_root_powers(order)`` holds them with their squares and
 cubes, cached per order, and the embeddings, the Vandermonde check and
 ``search.verify_theorem`` all read that one table (and form root
-difference products with ``root_difference_product``).
+difference products with ``root_difference_product``).  An embedding
+reads the ring's integer numerators N0..N3 against that table and divides
+by the denominator D once: no ``RatFunc`` is formed on the way.
 
 Substituting a truncated root series can only vanish to finite order for
 a nonzero element, so leads are resolved by adaptive doubling of the
@@ -23,10 +25,12 @@ Vandermonde check share that one loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PrecisionUnderflow, ZeroElement
-from .laurent import DEFAULT_ORDER, LaurentSeries, expand_ratfunc, quartic_roots
+from .laurent import DEFAULT_ORDER, LaurentSeries, poly_series, quartic_roots
+from .polynomials import Poly
 from .quartic import RingElem
 
 #: Hard ceiling for the adaptive precision doubling in ``_resolve``.
@@ -61,16 +65,26 @@ def _root_powers(order: int) -> tuple[tuple[LaurentSeries, ...], ...]:
     return tuple(table)
 
 
+def _int_series(n: tuple[int, ...], order: int) -> LaurentSeries:
+    """A Z[lam] coefficient list as an exact series to ``order``."""
+    return poly_series(Poly._of(list(n), 1), order)
+
+
 def embed_series(a: RingElem, i: int, order: int) -> LaurentSeries:
-    """Image of ``a`` under the embedding alpha -> i-th root series."""
+    """Image of ``a`` = sum N_j alpha^j / D under alpha -> the i-th root S:
+    sum N_j S^j, scaled by 1/D, or times one series inverse of a non-constant D."""
     if i not in (1, 2, 3, 4):
         raise ValueError(f"embedding index must be 1..4, got {i}")
     powers = _root_powers(order)[i - 1]
-    acc = expand_ratfunc(a.c0, order + 8)
-    for c, p in zip(a.coeffs[1:], powers[1:]):
-        if c:
-            acc = acc + expand_ratfunc(c, order + 8) * p
-    return acc
+    width = order + 8
+    acc = _int_series(a._n[0], width)
+    for n, p in zip(a._n[1:], powers[1:]):
+        if n:
+            acc = acc + _int_series(n, width) * p
+    d = a._d
+    if len(d) > 1:
+        return acc * _int_series(d, width).inv()
+    return acc if d == (1,) else acc.scale(Fraction(1, d[0]))
 
 
 def _resolve(images_at, what: str) -> list[LaurentSeries]:

@@ -4,7 +4,7 @@ Oracles come first: a classic monic Euclidean gcd over Fraction
 coefficients (independent of the primitive-sequence gcd in the package),
 a permutation-expansion determinant, and plain ``Fraction``-tuple
 polynomial arithmetic (a cross-check of ``Poly``'s integer numerators
-over one denominator). Pinned cases cover division, gcd,
+over one denominator). Pinned cases cover exact quotients, gcd,
 canonical field arithmetic, the text form and the error surface; seeded
 random loops check the oracles, the integer representation's canonical
 form and the field axioms.
@@ -39,11 +39,12 @@ from thueff.polynomials import (
 
 
 def euclid_gcd_reference(a: Poly, b: Poly) -> Poly:
-    """Textbook Euclidean gcd with rational coefficients, made monic."""
-    while b:
-        _, r = divmod(a, b)
-        a, b = b, r
-    return a.monic()
+    """Textbook Euclidean gcd with rational coefficients, made monic.
+
+    The remainders come from the tuple oracle ``ref_divmod``, never from
+    the package under test.
+    """
+    return Poly(ref_gcd(a.coeffs, b.coeffs))
 
 
 def permutation_det_reference(rows: list[list[Poly]]) -> Poly:
@@ -128,7 +129,7 @@ def is_canonical(f: RatFunc) -> bool:
     """Reduced form: monic denominator, coprime num/den, zero is 0/1."""
     if not f.num:
         return f.den == ONE
-    return f.den.is_monic and poly_gcd(f.num, f.den) == ONE
+    return f.den.is_monic() and poly_gcd(f.num, f.den) == ONE
 
 
 # -- the integer representation against the Fraction-tuple reference -----------
@@ -170,12 +171,15 @@ def test_integer_kernel_matches_fraction_reference_random():
             assert got.coeffs == want
             assert got == Poly(want)
         if rb:
-            q, r = divmod(a, b)
-            assert_integer_canonical(q)
-            assert_integer_canonical(r)
-            assert (q.coeffs, r.coeffs) == ref_divmod(ra, rb)
-            assert q * b + r == a
-            assert r.degree < b.degree
+            assert (a * b) // b == a
+            rq, rr = ref_divmod(ra, rb)
+            if rr:
+                with pytest.raises(ValueError):
+                    a // b
+            else:
+                q = a // b
+                assert_integer_canonical(q)
+                assert q.coeffs == rq
         if ra or rb:
             g = poly_gcd(a, b)
             assert_integer_canonical(g)
@@ -282,40 +286,31 @@ def test_low_degree_pinned():
     assert ZERO.low_degree == float("inf")
 
 
-# -- polynomial division -------------------------------------------------------
+# -- exact quotients -------------------------------------------------------------
 
 
-def test_divmod_exact_factorization():
-    q, r = divmod(Poly((-1, 0, 1)), Poly((-1, 1)))
-    assert q == Poly((1, 1))
-    assert r == ZERO
+def test_exact_quotient_pinned():
+    assert Poly((-1, 0, 1)) // Poly((-1, 1)) == Poly((1, 1))
+    assert LAM // LAM == ONE
+    assert ZERO // LAM == ZERO
+    # a divisor with content and a denominator: (6 lam^2) / ((4/3) lam)
+    assert Poly((0, 0, 6)) // Poly((0, Fraction(4, 3))) == Poly((0, Fraction(9, 2)))
+    assert Poly((4, 6)) // 2 == Poly((2, 3))
 
 
-def test_divmod_identity_case():
-    q, r = divmod(LAM, LAM)
-    assert q == ONE
-    assert r == ZERO
-
-
-def test_divmod_monomial_division():
-    q, r = divmod(Poly((2, 0, 0, 1)), Poly((0, 0, 1)))
-    assert q == LAM
-    assert r == Poly((2,))
-
-
-def test_divmod_by_zero_raises():
+def test_exact_quotient_by_zero_raises():
     with pytest.raises(ZeroDivisor):
-        divmod(LAM, ZERO)
+        LAM // ZERO
 
 
-def test_divmod_round_trip_random():
-    rng = random.Random(20260801)
-    for _ in range(400):
-        a = conftest.rand_poly(rng, max_deg=6)
-        b = conftest.rand_poly(rng, max_deg=4, nonzero=True)
-        q, r = divmod(a, b)
-        assert b * q + r == a
-        assert r.degree < b.degree or r == ZERO
+def test_inexact_quotient_raises():
+    # no floor quotient: a divisor that leaves a remainder is refused
+    with pytest.raises(ValueError):
+        LAM // (LAM + 1)
+    with pytest.raises(ValueError):
+        Poly((2, 0, 0, 1)) // Poly((0, 0, 1))
+    with pytest.raises(ValueError):
+        ONE // LAM
 
 
 # -- gcd -----------------------------------------------------------------------
@@ -363,11 +358,10 @@ def test_gcd_matches_euclid_reference_random():
         got = poly_gcd(a, b)
         want = euclid_gcd_reference(a, b)
         assert got == want
-        assert got.is_monic
+        assert got.is_monic()
         # the gcd divides both inputs exactly
         for p in (a, b):
-            _, r = divmod(p, got)
-            assert r == ZERO
+            assert (p // got) * got == p
 
 
 # -- rational-function field arithmetic ----------------------------------------

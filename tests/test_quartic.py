@@ -20,7 +20,7 @@ import conftest
 import property_suites
 import ring_oracle
 from thueff import quartic
-from thueff.errors import ZeroDivisor
+from thueff.errors import NotMonic, ZeroDivisor
 from thueff.polynomials import LAM, ONE as P_ONE, Poly, RatFunc, _int_gcd, _int_mul
 from thueff.quartic import (
     ALPHA,
@@ -324,6 +324,21 @@ def test_swapped_rewrite_row_is_never_served_stale(monkeypatch):
     assert ring_mul(ALPHA, ring_pow(ALPHA, 3)) == ZERO
     monkeypatch.undo()
     healthy()
+
+
+def test_rewrite_row_outside_z_lam_is_refused(monkeypatch):
+    # f must be monic over Z[lam], so that folding never leaves Z[lam].
+    for row in ((RatFunc(-1) / 2, RatFunc(-LAM), RatFunc(6), RatFunc(LAM)),
+                (RatFunc(-1), RatFunc(1, LAM), RatFunc(6), RatFunc(LAM))):
+        monkeypatch.setattr(quartic, "REWRITE_ROW", row)
+        with pytest.raises(NotMonic):
+            ring_mul(ALPHA, ALPHA)
+        with pytest.raises(NotMonic):
+            ring_inv(ALPHA + 1)
+        with pytest.raises(NotMonic):
+            conjugates()
+    monkeypatch.undo()
+    assert ring_mul(ALPHA, ring_pow(ALPHA, 3)) == RingElem(*REWRITE_ROW)
 
 
 # -- randomized batteries at smoke size ------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 import thueff
 from thueff import cli, laurent, quartic, search, valuations
 from thueff.laurent import quartic_roots
-from thueff.polynomials import Poly
+from thueff.polynomials import Poly, RatFunc
 from thueff.search import TRIVIAL_TRIPLES
 
 
@@ -60,6 +60,24 @@ def test_laurent_entry_points_take_order_by_name():
         assert "order" in inspect.signature(getattr(laurent, name)).parameters, name
     assert laurent.hensel_lift(order=3) == laurent.hensel_lift(3)
     assert laurent.quartic_roots(order=3) == laurent.quartic_roots(3)
+
+
+def test_norm_forms_its_value_through_ratfunc_mul(monkeypatch):
+    # perfbench/tests/test_perfbench.py::test_tracer_restores_every_name
+    # needs a nonzero ``polynomials.ratfunc_mul`` count after
+    # ``quartic.norm(ALPHA + 1)``: ``RingElem.coeffs`` builds each
+    # coefficient as N * (1/D) through ``RatFunc.__mul__``.  A change to
+    # that path fails here before it fails the benchmark.
+    calls = []
+    mul = RatFunc.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(RatFunc, "__mul__", counting)
+    quartic.norm(quartic.ALPHA + 1)
+    assert len(calls) >= 1
 
 
 def test_ring_algebra_gate_reads_fraction_coefficients():

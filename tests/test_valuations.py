@@ -158,6 +158,40 @@ def test_embedding_of_alpha_is_the_root_series():
         assert embed_series(quartic.ALPHA, i, 6) == quartic_roots(6)[i - 1]
 
 
+def _ratfunc_route(a, i, order):
+    """The embedding through the canonical ``RatFunc`` coefficients c0..c3,
+    each expanded on its own: c0 + c1*S + c2*S^2 + c3*S^3."""
+    s = quartic_roots(order)[i - 1]
+    acc = expand_ratfunc(a.c0, order + 8)
+    power = None
+    for c in a.coeffs[1:]:
+        power = s if power is None else power * s
+        if c:
+            acc = acc + expand_ratfunc(c, order + 8) * power
+    return acc
+
+
+def test_embedding_matches_the_ratfunc_route():
+    rng = random.Random(20261020)
+    elems = [conftest.rand_elem(rng, max_deg=2, nonzero=True, rational_every=2)
+             for _ in range(24)]
+    # denominators lam^k (an exact expansion) and a square
+    elems += [
+        _near_root_elem(),
+        quartic.RingElem.of(RatFunc(1, LAM + 1), 0, RatFunc(LAM, (LAM - 2) ** 2), 3),
+        quartic.RingElem.of(Fraction(1, 6), RatFunc(Poly((1, 0, 5)), LAM ** 3)),
+    ]
+    assert sum(len(a._d) > 1 for a in elems) >= 5
+    for a in elems:
+        for order in (8, 20):
+            for i in (1, 2, 3, 4):
+                got, want = embed_series(a, i, order), _ratfunc_route(a, i, order)
+                common = min(got.order, want.order)
+                assert got.truncate(common) == want.truncate(common), (a, i, order)
+                # a lead the old route resolves, this one resolves too
+                assert got.resolved or not want.resolved
+
+
 # -- randomized batteries at smoke size --------------------------------------------------
 
 
