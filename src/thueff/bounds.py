@@ -19,9 +19,8 @@ inequality holds for every a >= 1, so the budget is 10 uniformly in a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InconsistentRamification, InvalidDegree, NotMonic
 from .polynomials import LAM, ONE, Poly, RatFunc, bareiss_det, clear_denominators
@@ -136,8 +135,7 @@ def riemann_hurwitz_genus(degree: int, ramification_indices: Sequence[int]) -> F
     return g
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """The full bound chain, specialized to a = deg lam."""
 
     a: int

@@ -351,12 +351,12 @@ def quartic_roots(order: int) -> tuple[LaurentSeries, ...]:
     return roots
 
 
-def f_lambda_at_series(x: LaurentSeries) -> LaurentSeries:
-    """X^4 - lam*X^3 - 6*X^2 + lam*X + 1 at a series X (lam = exact)."""
+def f_lambda_at_series(
+    x: LaurentSeries, x2: LaurentSeries, x3: LaurentSeries
+) -> LaurentSeries:
+    """X^4 - lam*X^3 - 6*X^2 + lam*X + 1 at a series X (lam = exact), given
+    X^2 and X^3; X^4 is the one product it forms."""
     order = x.order + 8
     lam = monomial(-1, order)
     one = constant(1, order)
-    x2 = x * x
-    x3 = x2 * x
-    x4 = x2 * x2
-    return x4 - lam * x3 - x2.scale(6) + lam * x + one
+    return x2 * x2 - lam * x3 - x2.scale(6) + lam * x + one

@@ -25,8 +25,8 @@ check uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import bounds, laurent, quartic, valuations
 from .errors import ReproductionFailure
@@ -220,8 +220,7 @@ def _search_triples(triples: list[Triple], budget: int, jobs: int) -> list[Tripl
 # -- solution classes ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolutionClass:
+class SolutionClass(NamedTuple):
     """One family (x, y) = (x_coeff*eta, y_coeff*eta), eta in C(T)*.
 
     Solvability constraint: xi = xi_factor * eta**4.
@@ -291,8 +290,7 @@ def solution_classes(found: list[Triple] | None = None) -> list[SolutionClass]:
 # -- the certificate ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # "PASS" | "FAIL" | "ERROR"
     detail: str = ""
@@ -302,13 +300,12 @@ class CheckResult:
         return self.status == "PASS"
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     triples_searched: int
     triples_found: list[Triple]
     classes: list[SolutionClass]
     bound_report: bounds.BoundReport
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[CheckResult]
     search_budget: int = bounds.EXPONENT_BUDGET
 
     @property
@@ -378,7 +375,8 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
     # Series roots match the pinned expansions.  They come truncated from the
     # valuation table at the Siegel check's depth (deeper lifts agree).
     depth = max(order, 4) + 4
-    roots = tuple(row[1].truncate(depth - 4) for row in valuations._root_powers(depth))
+    rows = valuations._root_powers(depth)
+    roots = tuple(row[1].truncate(depth - 4) for row in rows)
 
     def roots_match() -> bool:
         for root, (lead, window) in zip(roots, _expected_root_windows()):
@@ -389,9 +387,10 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
 
     check("roots-match-expansions", "leading windows of all four roots", roots_match)
 
-    # Substituting each root back into the quartic leaves no visible term.
+    # Substituting each root back into the quartic leaves no visible term;
+    # S^2 and S^3 come from the same table rows as the roots.
     def residuals_vanish() -> bool:
-        residuals = [laurent.f_lambda_at_series(r) for r in roots]
+        residuals = [laurent.f_lambda_at_series(*row[1:]) for row in rows]
         return all(not r.resolved and r.order >= 1 for r in residuals)
 
     check("roots-residuals-vanish", "f(root) is zero to its computable order",

@@ -24,9 +24,9 @@ Vandermonde check share that one loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import PrecisionUnderflow, ZeroElement
 from .laurent import DEFAULT_ORDER, LaurentSeries, poly_series, quartic_roots
@@ -37,8 +37,7 @@ from .quartic import RingElem
 PRECISION_CAP = 1024
 
 
-@dataclass(frozen=True)
-class ValuationVector:
+class ValuationVector(NamedTuple):
     """(w1, w2, w3, w4) in units of a = deg lam."""
 
     w: tuple[int, int, int, int]
@@ -124,8 +123,7 @@ def unit_valuation_identity(r: int, s: int, t: int) -> ValuationVector:
     return ValuationVector((r, s, t, -(r + s + t)))
 
 
-@dataclass(frozen=True)
-class VandermondeReport:
+class VandermondeReport(NamedTuple):
     vector: ValuationVector
     leading_coeff: object  # Fraction of the embedding-1 leading term
 

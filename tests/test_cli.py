@@ -251,3 +251,19 @@ def test_import_does_not_load_the_process_pool():
         "assert 'concurrent.futures' not in sys.modules, 'pool imported'",
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_does_not_load_dataclasses_or_inspect():
+    # ``dataclasses`` pulls in ``inspect`` (and ``ast``, ``dis``,
+    # ``tokenize``), the largest import a cold ``thueff verify`` could pay
+    # for.  Only what ``import thueff.cli`` itself loads counts, not what
+    # ``site`` loaded before it.
+    proc = run_child(
+        "-c",
+        "import sys; before = set(sys.modules); import thueff.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "thueff.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect"}), sorted(loaded)

@@ -310,7 +310,8 @@ def test_root_residuals_vanish_to_precision():
     for order in (4, 8, 16):
         for s in quartic_roots(order):
             tilde, _ = _f_tilde(s, s.order)
-            full = f_lambda_at_series(s)
+            s2 = s * s
+            full = f_lambda_at_series(s, s2, s2 * s)
             assert not tilde.resolved
             assert tilde.order >= order - 2
             assert not full.resolved

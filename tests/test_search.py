@@ -6,9 +6,10 @@ checked against the images of exact units (up to the one nonzero factor
 the image leaves), its two linear forms per t against full products in
 that image, and a false survivor of the scan must be dropped by the exact
 confirmation; the certificate is exercised clean, byte-identical at three
-working orders, and with two corrupted rewrite rules (one caught at the
-Siegel check with every check evaluating, one whose singular ring turns
-the checks that cannot evaluate to ERROR).
+working orders, with one wrong term in the root table's S^2 row (caught
+at the residual check), and with two corrupted rewrite rules (one caught
+at the Siegel check with every check evaluating, one whose singular ring
+turns the checks that cannot evaluate to ERROR).
 """
 
 import random
@@ -291,6 +292,25 @@ def test_verifier_lifts_the_series_roots_once(monkeypatch):
     lifts.clear()
     verify_theorem()
     assert lifts == []
+
+
+def test_tampered_square_row_is_caught_at_the_residual_check(monkeypatch):
+    # The residual check reads S^2 from the root table: one wrong term in
+    # the first root's S^2 row must turn it red, with S itself untouched.
+    original = valuations._root_powers
+
+    def tampered(order):
+        rows = list(original(order))
+        _, s, s2, s3 = rows[0]
+        rows[0] = (None, s, s2 + laurent.monomial(s2.lead + 1, s2.order), s3)
+        return tuple(rows)
+
+    monkeypatch.setattr(valuations, "_root_powers", tampered)
+    with pytest.raises(ReproductionFailure) as exc_info:
+        verify_theorem()
+    status = {c.name: c.status for c in exc_info.value.certificate.checks}
+    assert status["roots-residuals-vanish"] == "FAIL"
+    assert status["roots-match-expansions"] == "PASS"
 
 
 def test_tampered_rewrite_rule_is_caught_at_the_siegel_check():
