@@ -22,10 +22,11 @@ applied from the top degree down.  The kernel takes the rule's integer
 form from the current ``REWRITE_ROW``, so swapping the tuple (as
 fault-injection tests do) takes effect on the next product.  The row must
 lie in Z[lam] (``NotMonic`` otherwise): f is then monic over Z[lam], and
-folding never leaves Z[lam].  An inverse solves the integer system of
-multiplication by a with Cramer's rule.  The defining quartic is
-invariant under the order-4 Moebius map z -> (z - 1)/(z + 1), so its
-four roots inside K are
+folding never leaves Z[lam].  One routine expands the integer matrix of
+multiplication by a along its first row: its cofactors give the inverse
+by Cramer's rule, and its determinant over D^4 is the norm N(a).  The
+defining quartic is invariant under the order-4 Moebius map
+z -> (z - 1)/(z + 1), so its four roots inside K are
 
     a1 = alpha
     a2 = (alpha - 1)/(alpha + 1)
@@ -97,11 +98,9 @@ class RingElem:
     def coeffs(self) -> tuple[RatFunc, RatFunc, RatFunc, RatFunc]:
         rf = self._rf
         if rf is None:
-            # Built as RatFunc(N) * (1/D): perfbench's tracer test counts norm()'s
-            # ratfunc_mul (pinned in test_tooling_contract).
-            inv_den = RatFunc(1, Poly._of(list(self._d), 1))
+            den = Poly._of(list(self._d), 1)
             rf = self._rf = tuple(
-                RatFunc(Poly._of(list(n), 1)) * inv_den if n else _RF_ZERO for n in self._n
+                RatFunc(Poly._of(list(n), 1), den) if n else _RF_ZERO for n in self._n
             )
         return rf
 
@@ -109,10 +108,6 @@ class RingElem:
     c1 = property(lambda self: self.coeffs[1])
     c2 = property(lambda self: self.coeffs[2])
     c3 = property(lambda self: self.coeffs[3])
-
-    def is_scalar(self) -> bool:
-        n = self._n
-        return not (n[1] or n[2] or n[3])
 
     def __bool__(self) -> bool:
         return any(self._n)
@@ -259,17 +254,13 @@ def _int_sub(a: IntList, b: IntList) -> IntList:
     return _int_add(a, [-v for v in b])
 
 
-def ring_inv(a: RingElem) -> RingElem:
-    """Multiplicative inverse via the integer matrix of multiplication by a.
+def _cramer(a: RingElem) -> tuple[list[IntList], IntList]:
+    """First-row cofactors and determinant of the integer matrix of multiplication by a.
 
-    Column k of the matrix is a*alpha^k = cols[k] / D.  With the columns
-    scaled to integers, Cramer's rule for the first basis vector needs the
-    cofactors C_0k of the first row; x_k = D * C_0k / det.
-    The cofactors expand along the second row over the six 2x2 minors of
-    the last two rows, so no division occurs at all.
+    Column k of the matrix is a*alpha^k = cols[k] / D.  The cofactors C_0k
+    expand along the second row over the six 2x2 minors of the last two
+    rows, and det = sum r0[k] * C_0k, so no division occurs at all.
     """
-    if not a:
-        raise ZeroDivisor("inverse of zero in the quartic ring")
     cols = [list(a._n)]
     for _ in range(3):
         cols.append(_fold([[], *cols[-1]]))
@@ -290,7 +281,19 @@ def ring_inv(a: RingElem) -> RingElem:
     det: IntList = []
     for x, c in zip(r0, cof):
         det = _int_add(det, _int_mul(x, c))
-    if not _trim(det):
+    return cof, _trim(det)
+
+
+def ring_inv(a: RingElem) -> RingElem:
+    """Multiplicative inverse by Cramer's rule for the first basis vector.
+
+    With the matrix of multiplication by a scaled to integers (``_cramer``),
+    x_k = D * C_0k / det.
+    """
+    if not a:
+        raise ZeroDivisor("inverse of zero in the quartic ring")
+    cof, det = _cramer(a)
+    if not det:
         raise SingularSystem("singular 4x4 system in ring inversion")
     return _canon([_int_mul(a._d, c) for c in cof], det)
 
@@ -329,15 +332,11 @@ def galois(a: RingElem, i: int) -> RingElem:
 
 
 def norm(a: RingElem) -> RatFunc:
-    """Product of the four conjugates; lands in the base field Q(lam)."""
-    prod = a
-    for i in (2, 3, 4):
-        prod = ring_mul(prod, galois(a, i))
-    if not prod.is_scalar():
-        raise RuntimeError(
-            "conjugate product left the base field (broken conjugate table?)"
-        )
-    return prod.c0
+    """N(a) = det(x -> a*x) over Q(lam): the integer determinant over D^4."""
+    d2 = _int_mul(a._d, a._d)
+    # Built as det * (1/D^4) through RatFunc.__mul__: perfbench's tracer test
+    # counts that ratfunc_mul (pinned in test_tooling_contract).
+    return RatFunc(Poly._of(_cramer(a)[1], 1)) * RatFunc(1, Poly._of(_int_mul(d2, d2), 1))
 
 
 def elem_from_xy(x: Poly, y: Poly) -> RingElem:

@@ -267,6 +267,57 @@ def test_kernel_matches_ratfunc_oracle():
     assert rational >= 5
 
 
+def _conjugate_product(a):
+    """N(a) as the product of the four Galois images of a."""
+    prod = a
+    for i in (2, 3, 4):
+        prod = ring_mul(prod, galois(a, i))
+    assert not any(prod._n[1:]), "conjugate product left the base field"
+    return prod.c0
+
+
+def _int_form(x, y):
+    """F(x, y) = x^4 - lam x^3 y - 6 x^2 y^2 + lam x y^3 + y^4 on integer lists."""
+
+    def mul(*factors):
+        out = [1]
+        for f in factors:
+            prod = [0] * (len(out) + len(f) - 1)
+            for i, u in enumerate(out):
+                for j, v in enumerate(f):
+                    prod[i + j] += u * v
+            out = prod
+        return out
+
+    terms = [mul(x, x, x, x), mul([0, -1], x, x, x, y), mul([-6], x, x, y, y),
+             mul([0, 1], x, y, y, y), mul(y, y, y, y)]
+    out = [sum(t[k] for t in terms if k < len(t)) for k in range(max(map(len, terms)))]
+    return RatFunc(Poly(out))
+
+
+def test_norm_is_the_conjugate_product():
+    # N(a) = det(x -> a*x) / D^4 against the product of the conjugates and
+    # the RatFunc schoolbook, on elements with and without a polynomial D.
+    rng = random.Random(20261019)
+    conj = ring_oracle.conjugates()
+    rational = 0
+    for _ in range(30):
+        a = conftest.rand_elem(rng, nonzero=True, rational_every=2)
+        rational += len(a._d) > 1
+        n = norm(a)
+        assert n == _conjugate_product(a) == ring_oracle.norm(a.coeffs, conj)
+        assert n * norm(ring_inv(a)) == RatFunc(1)
+    assert rational >= 8
+    assert norm(ZERO) == RatFunc(0)
+    for _ in range(10):
+        r, s, t = conftest.rand_exponents(rng, bound=2)
+        assert norm(unit_from_exponents(r, s, t)) == RatFunc(Fraction(-4) ** (r + t))
+    for _ in range(10):
+        x = [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))]
+        y = [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))]
+        assert norm(elem_from_xy(Poly(x), Poly(y))) == _int_form(x, y)
+
+
 def test_equal_values_have_one_form():
     rng = random.Random(20261019)
     factor = list(conftest.rand_poly(rng, max_deg=2, nonzero=True)._n) + [1]

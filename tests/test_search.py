@@ -323,6 +323,12 @@ def test_tampered_rewrite_rule_is_caught_at_the_siegel_check():
         assert cert is not None
         assert not cert.passed
         assert "siegel-identity" in cert.failed_names
+        # N(alpha) is the determinant of multiplication by alpha, i.e. the
+        # constant term 2 of the tampered quartic, and N(x - alpha*y) no
+        # longer equals F(x, y): both norm checks see the broken row.
+        status = {c.name: c.status for c in cert.checks}
+        assert status["norm-alpha"] == "FAIL"
+        assert status["solution-classes"] == "FAIL"
         # Every check evaluates under this ring: the failures are FAIL.
         assert all(c.status in ("PASS", "FAIL") for c in cert.checks)
     finally:
@@ -350,12 +356,13 @@ def test_all_zero_rewrite_rule_is_caught_at_the_search_check():
         # A check that raised reads ERROR; one that evaluated to false, FAIL.
         status = {c.name: c.status for c in cert.checks}
         assert {n for n, s in status.items() if s == "ERROR"} == {
-            "inverse-alpha", "conjugates-are-roots", "norm-alpha",
+            "inverse-alpha", "conjugates-are-roots",
             "galois-composition", "siegel-identity", "unit-product-formula",
             "conjugate-ratio-height", "search-trivial-set",
         }
+        # N(alpha) = det(x -> alpha*x) = 0 evaluates: a zero norm is a FAIL.
         assert {n for n, s in status.items() if s == "FAIL"} == {
-            "rewrite-rule", "inverse-alpha-plus-1", "found-units-exact",
+            "rewrite-rule", "inverse-alpha-plus-1", "norm-alpha", "found-units-exact",
             "found-heights-within-bound", "solution-classes",
         }
         assert all(

@@ -65,9 +65,9 @@ def test_laurent_entry_points_take_order_by_name():
 def test_norm_forms_its_value_through_ratfunc_mul(monkeypatch):
     # perfbench/tests/test_perfbench.py::test_tracer_restores_every_name
     # needs a nonzero ``polynomials.ratfunc_mul`` count after
-    # ``quartic.norm(ALPHA + 1)``: ``RingElem.coeffs`` builds each
-    # coefficient as N * (1/D) through ``RatFunc.__mul__``.  A change to
-    # that path fails here before it fails the benchmark.
+    # ``quartic.norm(ALPHA + 1)``: ``norm`` builds its value as
+    # det * (1/D^4) through ``RatFunc.__mul__``.  A change to that path
+    # fails here before it fails the benchmark.
     calls = []
     mul = RatFunc.__mul__
 
