@@ -52,12 +52,8 @@ def _det(matrix: list[list[RatFunc]]) -> RatFunc:
     for row in matrix:
         poly_row, row_scale = clear_denominators(row)
         rows.append(poly_row)
-        if row_scale != ONE:
-            scale = scale * row_scale
-    det = bareiss_det(rows)
-    if not det:
-        return RatFunc(0)
-    return RatFunc(det, scale)
+        scale = scale * row_scale
+    return RatFunc(bareiss_det(rows), scale)
 
 
 def resultant(f: Sequence[RatFunc], g: Sequence[RatFunc]) -> RatFunc:
@@ -148,16 +144,7 @@ class BoundReport(NamedTuple):
     exponent_budget: int
 
     def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "rK_bound": self.rK_bound,
-            "genus_bound": self.genus_bound,
-            "W_bound": self.W_bound,
-            "W_bound_max": self.W_bound_max,
-            "siegel_height_bound": self.siegel_height_bound,
-            "beta_ratio_bound": self.beta_ratio_bound,
-            "exponent_budget": self.exponent_budget,
-        }
+        return self._asdict()
 
 
 def bound_report(a: int) -> BoundReport:

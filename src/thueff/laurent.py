@@ -275,16 +275,15 @@ def expand_ratfunc(f: RatFunc, order: int) -> LaurentSeries:
     """
     if not f:
         return zero_to_order(order)
-    p = f.num.degree
-    q = f.den.degree
-    if f.den.low_degree == q:
+    num, den = f.num, f.den
+    p = num.degree
+    q = den.degree
+    if den.low_degree == q:
         # Denominator lam**q (q = 0 included): the expansion is exact, no
         # inversion needed -- each numerator term lam**i becomes lam**(i-q).
-        return _series(q - p, f.num.reversed(), order)
+        return _series(q - p, num.reversed(), order)
     margin = order + abs(p) + 2 * abs(q) + 4
-    num = poly_series(f.num, margin)
-    den = poly_series(f.den, margin)
-    return (num * den.inv()).truncate(order)
+    return (poly_series(num, margin) * poly_series(den, margin).inv()).truncate(order)
 
 
 # -- the quartic and its series roots ------------------------------------------

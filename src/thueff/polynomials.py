@@ -12,17 +12,21 @@ This module supplies its two building blocks:
   integers; ``coeffs`` and indexing still yield ``fractions.Fraction``
   values, built on demand.  ``truncate``, ``shift``, ``reversed`` and
   ``low_degree`` serve the series windows of ``laurent``.
-* ``RatFunc`` -- quotients of two ``Poly`` values, canonicalized eagerly:
-  numerator and denominator are coprime and the denominator is monic, so
-  equality of values is equality of representations.  Sums and products
-  leave the reduction to the constructor.
+* ``RatFunc`` -- quotients N/D of two integer coefficient tuples in
+  Z[lam], canonicalized eagerly: N and D coprime over Q[lam], integer
+  content 1 and lc(D) > 0, so equality of values is equality of
+  representations.  It is the form of one coordinate of a quartic ring
+  element, and ``_int_canon`` -- the primitive-gcd step of Gauss's lemma
+  (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6) -- brings
+  both to it.  ``num`` and ``den`` are ``Poly`` views over a monic
+  denominator.
 
 ``Poly`` sums and products, the gcd and the exact quotient ``//`` (no
-remainder operation) run on kernels over integer coefficient lists
-(``_int_add``, ``_int_mul``, ``_int_gcd``, ``_int_exquo``), which the
-quartic ring's integer form shares.  ``_int_mul_low``, behind
-``Poly.mul_low``, is the short product that series windows use: only
-the terms below a given power.
+remainder operation), ``RatFunc`` arithmetic and the quartic ring's
+integer form all run on kernels over integer coefficient lists
+(``_int_add``, ``_int_mul``, ``_int_gcd``, ``_int_exquo``).
+``_int_mul_low``, behind ``Poly.mul_low``, is the short product that
+series windows use: only the terms below a given power.
 """
 
 from __future__ import annotations
@@ -39,6 +43,13 @@ _NEG_INF = float("-inf")
 _INF = float("inf")
 
 
+def _trim(n: list[int]) -> list[int]:
+    """Drop the trailing zeros of n in place."""
+    while n and not n[-1]:
+        n.pop()
+    return n
+
+
 class Poly:
     """A dense univariate polynomial over Q: integer numerators over one denominator."""
 
@@ -53,8 +64,7 @@ class Poly:
     @classmethod
     def _of(cls, n: list[int], d: int) -> Poly:
         """sum(n[i] x**i) / d for any nonzero d, brought to lowest terms."""
-        while n and not n[-1]:
-            n.pop()
+        _trim(n)
         if d < 0:
             n = [-v for v in n]
             d = -d
@@ -140,14 +150,7 @@ class Poly:
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return Poly._of(_int_pow(self._n, n), self._d**n)
 
     def __floordiv__(self, other: Poly) -> Poly:
         """The exact quotient: ZeroDivisor for a zero ``other``, ValueError
@@ -336,6 +339,63 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
         x, y = y, _int_primitive(r)
 
 
+def _int_pow(a: Sequence[int], k: int) -> list[int]:
+    """a**k for an integer coefficient list and k >= 0, by repeated squaring."""
+    out = [1]
+    while k:
+        if k & 1:
+            out = _int_mul(out, a)
+        a = _int_mul(a, a)
+        k >>= 1
+    return out
+
+
+def _common_multiple(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A multiple of both a and b in Z[lam] (their lcm up to a constant)."""
+    if len(a) == 1 and len(b) == 1:
+        return [a[0] * b[0] // gcd_int(a[0], b[0])]
+    return _int_mul(a, _int_exquo(b, _int_gcd(a, b)))
+
+
+def _int_canon(
+    nums: list[list[int]], den: list[int]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The canonical form of the vector nums / den over Z[lam] (den nonzero).
+
+    Returns integer tuples (N_1, ..., N_k) and D: the gcd over Q[lam] of
+    the N_i and D is 1, their integer content is 1, and lc(D) > 0, so
+    equal vectors get equal forms.  A zero vector gets ((), ..., ()) and
+    (1,).  Each list is trimmed in place, so a tuple may come in only
+    without trailing zeros (a canonical ``_n`` or ``_d``).  D = 1 is
+    already canonical; another constant D needs only the integer content
+    divided out; otherwise the gcd over Q[lam] of D and the N_i is divided
+    out first (exactly, since that gcd is primitive: Gauss's lemma).
+    """
+    nums = [_trim(n) for n in nums]
+    if not any(nums):
+        return ((),) * len(nums), (1,)
+    den = _trim(den)
+    if len(den) == 1 and den[0] == 1:
+        return tuple(tuple(n) for n in nums), (1,)
+    if len(den) > 1:
+        g = den
+        for n in nums:
+            if n:
+                g = _int_gcd(g, n)
+                if len(g) == 1:
+                    break
+        if len(g) > 1:
+            nums = [_int_exquo(n, g) if n else n for n in nums]
+            den = _int_exquo(den, g)
+    c = gcd_int(*den, *(v for n in nums for v in n))
+    if den[-1] < 0:
+        c = -c
+    if c != 1:
+        nums = [[v // c for v in n] for n in nums]
+        den = [v // c for v in den]
+    return tuple(tuple(n) for n in nums), tuple(den)
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor.
 
@@ -391,70 +451,64 @@ def bareiss_det(rows: list[list[Poly]]) -> Poly:
 
 
 def clear_denominators(row: Sequence[RatFunc]) -> tuple[list[Poly], Poly]:
-    """The row times the lcm of its denominators, and that lcm."""
-    scale = ONE
+    """The row times a common multiple of its denominators, and that multiple
+    (the lcm of the denominators up to a constant)."""
+    scale = [1]
     for e in row:
-        d = e.den
-        if d != ONE:
-            scale = scale // poly_gcd(scale, d) * d
-    if scale == ONE:
-        return [e.num for e in row], scale
-    return [e.num * (scale // e.den) for e in row], scale
-
-
-def _over_monic(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """The same quotient num/den with den made monic (den nonzero)."""
-    lead, d = den._n[-1], den._d
-    if lead == d:
-        return num, den
-    return Poly._of([v * d for v in num._n], num._d * lead), den.monic()
+        scale = _common_multiple(scale, e._d)
+    return [Poly._of(_int_mul(e._n, _int_exquo(scale, e._d)), 1) for e in row], Poly._of(scale, 1)
 
 
 class RatFunc:
-    """A rational function num/den over Q, canonical on construction.
+    """A rational function N/D over Q, held in Z[lam] and canonical on construction.
 
-    Canonical form: gcd(num, den) = 1 and den monic.  Zero is 0/1.  With
-    that normalization, value equality is representation equality, which
-    makes hashing and exact comparison trivial.
+    ``_n`` and ``_d`` are the integer coefficient tuples that ``_int_canon``
+    gives, the form of one coordinate of a quartic ring element: N and D
+    coprime over Q[lam], integer content 1, lc(D) > 0.  Zero is 0/1.  Equal
+    values have equal representations, which makes hashing and exact
+    comparison trivial.  ``num`` and ``den`` are ``Poly`` views of the same
+    quotient over a monic denominator.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_n", "_d")
 
     def __init__(self, num: Poly | CoeffLike = 0, den: Poly | CoeffLike = 1):
         num = _as_poly(num)
         den = _as_poly(den)
         if not den:
             raise ZeroDivisor("rational function with zero denominator")
-        if not num:
-            den = ONE
-        else:
-            if not den.is_constant():
-                g = poly_gcd(num, den)
-                if g != ONE:
-                    num //= g
-                    den //= g
-            num, den = _over_monic(num, den)
-        self._num = num
-        self._den = den
+        # (a / d_a) / (b / d_b) = (a * d_b) / (b * d_a)
+        (self._n,), self._d = _int_canon(
+            [[v * den._d for v in num._n]], [v * num._d for v in den._n]
+        )
 
     @classmethod
-    def _raw(cls, num: Poly, den: Poly) -> RatFunc:
-        """Wrap coefficients already known canonical (coprime, den monic)."""
+    def _of(cls, n: Sequence[int], d: Sequence[int]) -> RatFunc:
+        """n / d for integer coefficient lists in Z[lam] (d nonzero), made
+        canonical; as for ``_int_canon``, a tuple must end in a nonzero."""
         out = object.__new__(cls)
-        out._num = num
-        out._den = den
+        (out._n,), out._d = _int_canon([n], d)
+        return out
+
+    @classmethod
+    def _raw(cls, n: tuple[int, ...], d: tuple[int, ...]) -> RatFunc:
+        """Wrap a form already known canonical."""
+        out = object.__new__(cls)
+        out._n = n
+        out._d = d
         return out
 
     @property
     def num(self) -> Poly:
-        return self._num
+        """The numerator over the monic denominator ``den``."""
+        return Poly._of(list(self._n), self._d[-1])
 
     @property
     def den(self) -> Poly:
-        return self._den
+        return Poly._of(list(self._d), self._d[-1])
 
     def __bool__(self) -> bool:
-        return bool(self._num)
+        return bool(self._n)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -462,17 +516,16 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        n1, d1 = self._num, self._den
-        n2, d2 = other._num, other._den
-        return RatFunc(n1 * d2 + n2 * d1, d1 * d2)
+        n1, d1 = self._n, self._d
+        n2, d2 = other._n, other._d
+        if d1 == d2:
+            return RatFunc._of(_int_add(n1, n2), d1)
+        return RatFunc._of(_int_add(_int_mul(n1, d2), _int_mul(n2, d1)), _int_mul(d1, d2))
 
     __radd__ = __add__
 
     def __neg__(self) -> RatFunc:
-        out = object.__new__(RatFunc)
-        out._num = -self._num
-        out._den = self._den
-        return out
+        return RatFunc._raw(tuple(-v for v in self._n), self._d)
 
     def __sub__(self, other) -> RatFunc:
         other = _as_ratfunc(other)
@@ -487,7 +540,7 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFunc(self._num * other._num, self._den * other._den)
+        return RatFunc._of(_int_mul(self._n, other._n), _int_mul(self._d, other._d))
 
     __rmul__ = __mul__
 
@@ -503,16 +556,18 @@ class RatFunc:
         return _as_ratfunc(other) / self
 
     def inv(self) -> RatFunc:
-        if not self:
+        n, d = self._n, self._d
+        if not n:
             raise ZeroDivisor("inverse of the zero rational function")
-        return RatFunc._raw(*_over_monic(self._den, self._num))
+        if n[-1] < 0:
+            return RatFunc._raw(tuple(-v for v in d), tuple(-v for v in n))
+        return RatFunc._raw(d, n)
 
     def __pow__(self, n: int) -> RatFunc:
         if n < 0:
             return self.inv() ** (-n)
-        if n == 0:
-            return RF_ONE
-        return RatFunc._raw(self._num**n, self._den**n)
+        # coprime with content 1 stays so under powers (Gauss's lemma)
+        return RatFunc._raw(tuple(_int_pow(self._n, n)), tuple(_int_pow(self._d, n)))
 
     # -- comparison / hashing / text -------------------------------------
 
@@ -520,16 +575,16 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._num == other._num and self._den == other._den
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash((self._num, self._den))
+        return hash((self._n, self._d))
 
     def __str__(self) -> str:
-        return f"{self._num} | {self._den}"
+        return f"{self.num} | {self.den}"
 
     def __repr__(self) -> str:
-        return f"RatFunc({self._num!r}, {self._den!r})"
+        return f"RatFunc({self.num!r}, {self.den!r})"
 
 
 def _as_ratfunc(x):

@@ -6,13 +6,14 @@ denominator D in Z[lam],
 
     (N0 + N1*alpha + N2*alpha^2 + N3*alpha^3) / D.
 
-The form is canonical -- gcd over Q[lam] of N0..N3 and D is 1, their
-integer content is 1, and lc(D) > 0 -- so equal values have equal
-representations, and equality and hashing compare them directly.  Every
-unit and conjugate the verifier meets lies in Z[1/2][lam][alpha], where D
-is an integer and canonicalizing divides out an integer content without
-a polynomial gcd.  ``c0``..``c3`` and ``coeffs`` give the coefficients as
-canonical ``RatFunc`` values, built on first use and kept on the element.
+The form is the one ``polynomials._int_canon`` gives a ``RatFunc`` --
+gcd over Q[lam] of N0..N3 and D is 1, their integer content is 1, and
+lc(D) > 0 -- so equal values have equal representations, and equality
+and hashing compare them directly.  Every unit and conjugate the
+verifier meets lies in Z[1/2][lam][alpha], where D is an integer and
+canonicalizing divides out an integer content without a polynomial gcd.
+A ``RatFunc`` coefficient enters as its own integer tuples, and ``c0``..
+``c3`` (and ``coeffs``) canonicalize their coordinate Ni / D into one.
 
 Products are 16 integer convolutions, reduced with the rewrite rule
 
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd as gcd_int
 
 from .errors import NotMonic, SingularSystem, ZeroDivisor
 from .polynomials import (
@@ -51,17 +51,16 @@ from .polynomials import (
     Poly,
     RatFunc,
     _as_poly,
+    _common_multiple,
     _int_add,
+    _int_canon,
     _int_exquo,
-    _int_gcd,
     _int_mul,
+    _trim,
 )
 
 #: Coefficients of alpha^4 on the power basis (the rewrite rule).
 REWRITE_ROW = (RatFunc(-1), RatFunc(-LAM), RatFunc(6), RatFunc(LAM))
-
-_RF_ZERO = RatFunc(0)
-_ZERO_NUMS = ((), (), (), ())
 
 IntList = list[int]
 
@@ -69,7 +68,7 @@ IntList = list[int]
 class RingElem:
     """c0 + c1*alpha + c2*alpha^2 + c3*alpha^3, held as (N0..N3) / D over Z[lam]."""
 
-    __slots__ = ("_n", "_d", "_rf")
+    __slots__ = ("_n", "_d")
 
     def __init__(self, c0, c1, c2, c3):
         """From four coefficients, each a ``RatFunc``, ``Poly``, int or Fraction."""
@@ -78,8 +77,7 @@ class RingElem:
         for _, d in fracs:
             den = _common_multiple(den, d)
         nums = [_int_mul(n, _int_exquo(den, d)) for n, d in fracs]
-        e = _canon(nums, den)
-        self._n, self._d, self._rf = e._n, e._d, None
+        self._n, self._d = _int_canon(nums, den)
 
     @classmethod
     def _raw(cls, nums: tuple[tuple[int, ...], ...], den: tuple[int, ...]) -> RingElem:
@@ -87,7 +85,6 @@ class RingElem:
         out = object.__new__(cls)
         out._n = nums
         out._d = den
-        out._rf = None
         return out
 
     @staticmethod
@@ -96,18 +93,12 @@ class RingElem:
 
     @property
     def coeffs(self) -> tuple[RatFunc, RatFunc, RatFunc, RatFunc]:
-        rf = self._rf
-        if rf is None:
-            den = Poly._of(list(self._d), 1)
-            rf = self._rf = tuple(
-                RatFunc(Poly._of(list(n), 1), den) if n else _RF_ZERO for n in self._n
-            )
-        return rf
+        return tuple(RatFunc._of(n, self._d) for n in self._n)
 
-    c0 = property(lambda self: self.coeffs[0])
-    c1 = property(lambda self: self.coeffs[1])
-    c2 = property(lambda self: self.coeffs[2])
-    c3 = property(lambda self: self.coeffs[3])
+    c0 = property(lambda self: RatFunc._of(self._n[0], self._d))
+    c1 = property(lambda self: RatFunc._of(self._n[1], self._d))
+    c2 = property(lambda self: RatFunc._of(self._n[2], self._d))
+    c3 = property(lambda self: RatFunc._of(self._n[3], self._d))
 
     def __bool__(self) -> bool:
         return any(self._n)
@@ -164,54 +155,15 @@ class RingElem:
 def _fraction(x) -> tuple[IntList, IntList]:
     """A coefficient as an integer numerator list over a nonzero denominator list."""
     if isinstance(x, RatFunc):
-        n, d = x.num, x.den
-        return [v * d._d for v in n._n], [v * n._d for v in d._n]
+        return list(x._n), list(x._d)
     p = _as_poly(x)
     return list(p._n), [p._d]
 
 
-def _common_multiple(a: IntList, b: IntList) -> IntList:
-    """A multiple of both a and b in Z[lam] (their lcm up to a constant)."""
-    if len(a) == 1 and len(b) == 1:
-        return [a[0] * b[0] // gcd_int(a[0], b[0])]
-    return _int_mul(a, _int_exquo(b, _int_gcd(a, b)))
-
-
-def _trim(n: IntList) -> IntList:
-    while n and not n[-1]:
-        n.pop()
-    return n
-
-
 def _canon(nums: list[IntList], den: IntList) -> RingElem:
-    """The canonical element (nums[0] + ... + nums[3]*alpha^3) / den (den nonzero).
-
-    Each list is trimmed in place, so a tuple may come in only without
-    trailing zeros (a canonical ``_n`` or ``_d``).  A constant denominator needs only the integer content divided out;
-    otherwise the gcd over Q[lam] of the denominator and the numerators
-    is divided out first (exactly, since that gcd is primitive).
-    """
-    nums = [_trim(n) for n in nums]
-    if not any(nums):
-        return RingElem._raw(_ZERO_NUMS, (1,))
-    den = _trim(den)
-    if len(den) > 1:
-        g = den
-        for n in nums:
-            if n:
-                g = _int_gcd(g, n)
-                if len(g) == 1:
-                    break
-        if len(g) > 1:
-            nums = [_int_exquo(n, g) if n else n for n in nums]
-            den = _int_exquo(den, g)
-    c = gcd_int(*den, *nums[0], *nums[1], *nums[2], *nums[3])
-    if den[-1] < 0:
-        c = -c
-    if c != 1:
-        nums = [[v // c for v in n] for n in nums]
-        den = [v // c for v in den]
-    return RingElem._raw(tuple(tuple(n) for n in nums), tuple(den))
+    """The element (nums[0] + ... + nums[3]*alpha^3) / den (den nonzero),
+    in the canonical form of ``polynomials._int_canon``."""
+    return RingElem._raw(*_int_canon(nums, den))
 
 
 def _as_elem(x) -> RingElem:
@@ -336,7 +288,7 @@ def norm(a: RingElem) -> RatFunc:
     d2 = _int_mul(a._d, a._d)
     # Built as det * (1/D^4) through RatFunc.__mul__: perfbench's tracer test
     # counts that ratfunc_mul (pinned in test_tooling_contract).
-    return RatFunc(Poly._of(_cramer(a)[1], 1)) * RatFunc(1, Poly._of(_int_mul(d2, d2), 1))
+    return RatFunc._of(_cramer(a)[1], [1]) * RatFunc._of([1], _int_mul(d2, d2))
 
 
 def elem_from_xy(x: Poly, y: Poly) -> RingElem:
@@ -400,7 +352,7 @@ class _RowTables:
             powers = (a, sq, ring_mul(sq, a))
             e = [1]
             for p in powers:
-                e = _common_multiple(e, list(p._d))
+                e = _common_multiple(e, p._d)
             table.append((e, tuple([_int_mul(n, _int_exquo(e, p._d)) for n in p._n]
                                    for p in powers)))
         return tuple(table)

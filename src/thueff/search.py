@@ -340,14 +340,13 @@ def _series_agree_on_common_window(a, b) -> bool:
     return all(a.coeff_at(e) == b.coeff_at(e) for e in range(lo, hi))
 
 
-def _expected_root_windows():
-    """The pinned leading coefficients of the four series roots."""
-    return (
-        (0, (1, -2, 2, 8)),
-        (1, (-1, 0, 5)),
-        (0, (-1, -2, -2, 8)),
-        (-1, (1, 0, 5)),
-    )
+#: The pinned leading coefficients of the four series roots: (lead, window).
+_EXPECTED_ROOT_WINDOWS = (
+    (0, (1, -2, 2, 8)),
+    (1, (-1, 0, 5)),
+    (0, (-1, -2, -2, 8)),
+    (-1, (1, 0, 5)),
+)
 
 
 def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certificate:
@@ -379,7 +378,7 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
     roots = tuple(row[1].truncate(depth - 4) for row in rows)
 
     def roots_match() -> bool:
-        for root, (lead, window) in zip(roots, _expected_root_windows()):
+        for root, (lead, window) in zip(roots, _EXPECTED_ROOT_WINDOWS):
             for k, expect in enumerate(window):
                 if root.coeff_at(lead + k) != expect:
                     return False
@@ -536,11 +535,9 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
         "abc-chain-audit",
         "ABC bound dominates the chain for a in 1..64",
         lambda: all(
-            bounds.mason_abc_bound(bounds.bound_report(a).genus_bound,
-                                   bounds.bound_report(a).W_bound_max)
-            >= -4 + 8 * a + r
-            for a in range(1, 65)
-            for r in (0, 2 * a)
+            bounds.mason_abc_bound(rep.genus_bound, rep.W_bound_max) >= -4 + 8 * rep.a + r
+            for rep in map(bounds.bound_report, range(1, 65))
+            for r in (0, 2 * rep.a)
         ),
     )
 

@@ -4,6 +4,7 @@ Everything runs in-process through main() except two subprocess checks:
 that the module entry point works end to end, and what importing it loads.
 """
 
+import hashlib
 import json
 import os
 import re
@@ -113,6 +114,33 @@ def test_solve_json(capsys):
     payload = json.loads(out)
     assert len(payload["classes"]) == 4
     assert cli.render_json(payload) == out.strip()
+
+
+# -- golden outputs ------------------------------------------------------------------
+
+#: sha256 of the standard output of each command, byte for byte.  A change
+#: of representation must leave every one of them as it is.
+GOLDEN_STDOUT = {
+    "verify": "1fab93e82f52311124d4b5c71850d764053e247795c4358b91dcaf67dcc613a9",
+    "verify --format json": "56557a9089f63d3f4a9e5509e955a8ec8f1ee6f03a852893f49cce74338f9887",
+    "search": "2bc4712a6a9059de0f248fa0685bb251acd90f53934d028d1fb9ddcca137cc43",
+    "search --format json": "95dc87b2b0c998232e2c9e8b01184af1daa1ef194eaac15bcf672f729b62bf80",
+    "solve": "87539499e66c90357a096d8994eb10129135183da4c9a9bd7cf065d9fd38f54d",
+    "solve --format json": "66e5b38925977927c413904affc1a0bdabb4f90c3a493af8f69927c9a7ff3853",
+    "roots --order 16": "a480d40cb7705554c3a15e3b9c8597c8558783f50e9094e841651c9a3f0eb6d7",
+    "roots --order 16 --format json":
+        "20d3a5ba491a1678234690ed0eb96b88df430815d6c15ca68d5c25294359747b",
+    "bounds --a 3": "387f48733c39119bd5f1659c43e489f824c03ba41226c4b208bfdac5700131ca",
+    "bounds --a 3 --format json":
+        "e819aaf656550915bd4e69c45cf685fc0745dd0f41273a1ad731e4c17b194d60",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_STDOUT))
+def test_stdout_matches_the_golden_digest(capsys, command):
+    code, out = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
 # -- verify -------------------------------------------------------------------------

@@ -407,6 +407,30 @@ def test_results_are_canonical_random():
             assert is_canonical(a / b)
 
 
+def test_values_match_fraction_arithmetic_at_rational_points():
+    # RatFunc shares its canonicalizer with the quartic ring, so its values
+    # are checked here against plain Fraction arithmetic, point by point.
+    rng = random.Random(20261020)
+    points = [Fraction(k, 3) for k in range(-8, 9, 3)]
+
+    def at(p: Poly, x: Fraction) -> Fraction:
+        return sum(c * x**i for i, c in enumerate(p.coeffs))
+
+    for _ in range(40):
+        na, da, nb, db = (conftest.rand_poly(rng, max_deg=3, nonzero=k % 2 == 1)
+                          for k in range(4))
+        a, b = RatFunc(na, da), RatFunc(nb, db)
+        for x in points:
+            if not at(da, x) or not at(db, x):
+                continue
+            va, vb = at(na, x) / at(da, x), at(nb, x) / at(db, x)
+            results = [(a, va), (b, vb), (a + b, va + vb), (a - b, va - vb), (a * b, va * vb)]
+            if vb:
+                results.append((a / b, va / vb))
+            for q, v in results:
+                assert at(q.num, x) == v * at(q.den, x)
+
+
 def test_canonical_equality_means_zero_difference():
     rng = random.Random(20260804)
     for _ in range(200):

@@ -357,6 +357,49 @@ def test_canonical_zero_one_and_a_single_rational_slot():
     assert str(h) == "(0, 1 | 1) + (1/2 | 1)·α + (-1 | 1)·α^3"
 
 
+def test_a_ratfunc_is_held_in_the_form_of_one_ring_coordinate():
+    # RatFunc and RingElem share one canonicalizer: a RatFunc in a slot of
+    # an element keeps its own integer tuples, and the slot reads it back.
+    rng = random.Random(20261020)
+    kinds = set()
+
+    def rand_side(kind):
+        if kind == "zero":
+            return Poly(())
+        while True:
+            width = 1 if kind == "constant" else rng.randint(2, 4)
+            p = Poly([conftest.rand_fraction(rng) for _ in range(width)])
+            if p.degree == width - 1:
+                return p
+
+    for _ in range(90):
+        num_kind = rng.choice(("zero", "constant", "polynomial"))
+        den_kind = rng.choice(("constant", "polynomial"))
+        q = RatFunc(rand_side(num_kind), rand_side(den_kind))
+        kinds.add((num_kind, len(q._d) > 1))
+        for slot in range(4):
+            e = RingElem(*[q if i == slot else 0 for i in range(4)])
+            assert e._n[slot] == q._n and e._d == q._d
+            assert (e.c0, e.c1, e.c2, e.c3)[slot] == q == e.coeffs[slot]
+        assert _is_canonical(RingElem(q, 0, 0, 0))
+        # Beside another coordinate the denominator is shared, and each slot
+        # still reads its own canonical form back.
+        r = RatFunc(rand_side("polynomial"), rand_side(den_kind))
+        for got, want in zip(RingElem(q, r, 0, q).coeffs, (q, r, RatFunc(0), q)):
+            assert (got._n, got._d) == (want._n, want._d)
+        # Built another way: through the Poly views, and with a common factor.
+        factor = rand_side("polynomial")
+        for other in (RatFunc(q.num, q.den), RatFunc(q.num * factor, q.den * factor)):
+            assert other == q and hash(other) == hash(q)
+            assert other._n == q._n and other._d == q._d
+    assert kinds >= {("zero", False), ("constant", False), ("constant", True),
+                     ("polynomial", False), ("polynomial", True)}
+    half = RatFunc(LAM + 1, 2 * LAM + 2)
+    assert half == RatFunc(1, 2) and hash(half) == hash(RatFunc(1, 2))
+    assert (half._n, half._d) == ((1,), (2,))
+    assert half.num == Poly((Fraction(1, 2),)) and half.den == P_ONE
+
+
 def test_swapped_rewrite_row_is_never_served_stale(monkeypatch):
     # Every table derived from the row is cached under the row's value; a
     # swapped REWRITE_ROW must replace them at once, with no clear_caches().
