@@ -357,6 +357,17 @@ def _common_multiple(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _int_mul(a, _int_exquo(b, _int_gcd(a, b)))
 
 
+def _int_clear(
+    fracs: Sequence[tuple[Sequence[int], Sequence[int]]],
+) -> tuple[list[list[int]], list[int]]:
+    """Pairs (n_i, d_i) over Z[lam] put over one denominator D, a common
+    multiple of the d_i: returns the numerators n_i * (D / d_i) and D."""
+    den = [1]
+    for _, d in fracs:
+        den = _common_multiple(den, d)
+    return [_int_mul(n, _int_exquo(den, d)) for n, d in fracs], den
+
+
 def _int_canon(
     nums: list[list[int]], den: list[int]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -453,10 +464,8 @@ def bareiss_det(rows: list[list[Poly]]) -> Poly:
 def clear_denominators(row: Sequence[RatFunc]) -> tuple[list[Poly], Poly]:
     """The row times a common multiple of its denominators, and that multiple
     (the lcm of the denominators up to a constant)."""
-    scale = [1]
-    for e in row:
-        scale = _common_multiple(scale, e._d)
-    return [Poly._of(_int_mul(e._n, _int_exquo(scale, e._d)), 1) for e in row], Poly._of(scale, 1)
+    nums, scale = _int_clear([(e._n, e._d) for e in row])
+    return [Poly._of(n, 1) for n in nums], Poly._of(scale, 1)
 
 
 class RatFunc:
@@ -518,8 +527,6 @@ class RatFunc:
             return NotImplemented
         n1, d1 = self._n, self._d
         n2, d2 = other._n, other._d
-        if d1 == d2:
-            return RatFunc._of(_int_add(n1, n2), d1)
         return RatFunc._of(_int_add(_int_mul(n1, d2), _int_mul(n2, d1)), _int_mul(d1, d2))
 
     __radd__ = __add__

@@ -51,10 +51,9 @@ from .polynomials import (
     Poly,
     RatFunc,
     _as_poly,
-    _common_multiple,
     _int_add,
     _int_canon,
-    _int_exquo,
+    _int_clear,
     _int_mul,
     _trim,
 )
@@ -72,12 +71,7 @@ class RingElem:
 
     def __init__(self, c0, c1, c2, c3):
         """From four coefficients, each a ``RatFunc``, ``Poly``, int or Fraction."""
-        fracs = [_fraction(c) for c in (c0, c1, c2, c3)]
-        den = [1]
-        for _, d in fracs:
-            den = _common_multiple(den, d)
-        nums = [_int_mul(n, _int_exquo(den, d)) for n, d in fracs]
-        self._n, self._d = _int_canon(nums, den)
+        self._n, self._d = _int_canon(*_int_clear([_fraction(c) for c in (c0, c1, c2, c3)]))
 
     @classmethod
     def _raw(cls, nums: tuple[tuple[int, ...], ...], den: tuple[int, ...]) -> RingElem:
@@ -350,11 +344,8 @@ class _RowTables:
         for a in self.conjugates:
             sq = ring_mul(a, a)
             powers = (a, sq, ring_mul(sq, a))
-            e = [1]
-            for p in powers:
-                e = _common_multiple(e, p._d)
-            table.append((e, tuple([_int_mul(n, _int_exquo(e, p._d)) for n in p._n]
-                                   for p in powers)))
+            nums, e = _int_clear([(n, p._d) for p in powers for n in p._n])
+            table.append((e, tuple(nums[k:k + 4] for k in (0, 4, 8))))
         return tuple(table)
 
     @cached_property
