@@ -1,8 +1,10 @@
 """Discriminants, genus estimates, and the height-bound chain.
 
 Everything here is closed-form bookkeeping on top of two exact kernels:
-a Sylvester-matrix resultant over Q(lam) and the Riemann-Hurwitz count.
-`bound_report` assembles the chain that caps the exponent search:
+a Sylvester-matrix resultant over Q(lam), whose determinant runs on
+Z[lam] integer lists (``polynomials.bareiss_det``), and the
+Riemann-Hurwitz count.  `bound_report` assembles the chain that caps the
+exponent search:
 
     rank of infinite places  r <= 2a
     genus                    g <= (3/2) r - 3 <= 3a - 3
@@ -23,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import InconsistentRamification, InvalidDegree, NotMonic
-from .polynomials import LAM, ONE, Poly, RatFunc, bareiss_det, clear_denominators
+from .polynomials import LAM, RatFunc, _int_clear, _int_mul, _int_pow, bareiss_det
 
 #: Uniform-in-a exponent cap (largest integer below 11 - 4/a for all a >= 1).
 EXPONENT_BUDGET = 10
@@ -40,45 +42,27 @@ def _xpoly_derivative(f: Sequence[RatFunc]) -> list[RatFunc]:
     return [c * i for i, c in enumerate(f) if i]
 
 
-def _det(matrix: list[list[RatFunc]]) -> RatFunc:
-    """Exact determinant of a square rational-function matrix.
-
-    Rows are scaled to clear denominators (recorded in an overall scale
-    factor), then the polynomial matrix goes through fraction-free
-    Bareiss elimination -- every interior division is exact.
-    """
-    scale = ONE
-    rows: list[list[Poly]] = []
-    for row in matrix:
-        poly_row, row_scale = clear_denominators(row)
-        rows.append(poly_row)
-        scale = scale * row_scale
-    return RatFunc(bareiss_det(rows), scale)
-
-
 def resultant(f: Sequence[RatFunc], g: Sequence[RatFunc]) -> RatFunc:
     """Sylvester resultant of two X-polynomials over Q(lam).
 
-    Coefficients ascend in X; degrees are taken after trimming zeros.
+    Coefficients ascend in X; degrees m = deg f and n = deg g are taken
+    after trimming zeros.  The coefficients of f and of g are each put over
+    one denominator in Z[lam], fd and gd, so the Sylvester matrix's n rows
+    of f and m rows of g are integer rows that carry 1/fd and 1/gd:
+    Res = det / (fd**n * gd**m), with the integer det from ``bareiss_det``.
     """
-    f = list(f)
-    g = list(g)
     m = _xpoly_degree(f)
     n = _xpoly_degree(g)
     if m < 0 or n < 0:
         raise InvalidDegree("resultant of the zero polynomial is undefined")
     if m == 0 and n == 0:
         return RatFunc(1)
+    fn, fd = _int_clear([(c._n, c._d) for c in f[: m + 1]])
+    gn, gd = _int_clear([(c._n, c._d) for c in g[: n + 1]])
     size = m + n
-    zero = RatFunc(0)
-    rows: list[list[RatFunc]] = []
-    f_desc = [f[m - i] if m - i < len(f) else zero for i in range(m + 1)]
-    g_desc = [g[n - i] if n - i < len(g) else zero for i in range(n + 1)]
-    for shift in range(n):
-        rows.append([zero] * shift + f_desc + [zero] * (size - shift - m - 1))
-    for shift in range(m):
-        rows.append([zero] * shift + g_desc + [zero] * (size - shift - n - 1))
-    return _det(rows)
+    rows = [[[]] * shift + fn[::-1] + [[]] * (size - shift - m - 1) for shift in range(n)]
+    rows += [[[]] * shift + gn[::-1] + [[]] * (size - shift - n - 1) for shift in range(m)]
+    return RatFunc._of(bareiss_det(rows), _int_mul(_int_pow(fd, n), _int_pow(gd, m)))
 
 
 def discriminant(f: Sequence[RatFunc]) -> RatFunc:

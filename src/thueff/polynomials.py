@@ -21,10 +21,11 @@ This module supplies its two building blocks:
   both to it.  ``num`` and ``den`` are ``Poly`` views over a monic
   denominator.
 
-``Poly`` sums and products, the gcd and the exact quotient ``//`` (no
-remainder operation), ``RatFunc`` arithmetic and the quartic ring's
-integer form all run on kernels over integer coefficient lists
-(``_int_add``, ``_int_mul``, ``_int_gcd``, ``_int_exquo``).
+``Poly`` sums and products, the gcd, ``RatFunc`` arithmetic and the
+quartic ring's integer form all run on kernels over integer coefficient
+lists (``_int_add``, ``_int_mul``, ``_int_gcd``, ``_int_exquo``), and so
+does ``bareiss_det``, the fraction-free determinant of a matrix over
+Z[lam] behind ``bounds.resultant``.
 ``_int_mul_low``, behind ``Poly.mul_low``, is the short product that
 series windows use: only the terms below a given power.
 """
@@ -151,18 +152,6 @@ class Poly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
         return Poly._of(_int_pow(self._n, n), self._d**n)
-
-    def __floordiv__(self, other: Poly) -> Poly:
-        """The exact quotient: ZeroDivisor for a zero ``other``, ValueError
-        for one that does not divide.  The long division runs on the integer
-        numerators over ``other``'s primitive part (Gauss's lemma)."""
-        other = _as_poly(other)
-        if not other:
-            raise ZeroDivisor("polynomial division by zero")
-        c = gcd_int(*other._n)
-        q = _int_exquo(self._n, [v // c for v in other._n])
-        # (a / d_a) / (c * p / d_b) = (q * d_b) / (c * d_a), with q = a / p
-        return Poly._of([v * other._d for v in q], c * self._d)
 
     def monic(self) -> Poly:
         """Scale to leading coefficient 1 (zero stays zero)."""
@@ -425,47 +414,36 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return ONE if len(g) == 1 else Poly._of(g, g[-1])
 
 
-def bareiss_det(rows: list[list[Poly]]) -> Poly:
-    """Fraction-free determinant of a square Poly matrix.
+def bareiss_det(rows: list[list[list[int]]]) -> list[int]:
+    """Fraction-free determinant of a square matrix over Z[lam].
 
-    One-step Bareiss elimination: every interior division is exact, so
-    no rational functions appear.  Pivots are chosen with minimal degree
-    among the nonzero candidates to slow coefficient growth.
+    Entries are integer coefficient lists without trailing zeros, the
+    ``_n`` form of ``RatFunc``; so is the determinant.  One-step Bareiss
+    elimination: every interior division is exact in Z[lam] (``_int_exquo``).
+    Pivots are chosen with minimal degree among the nonzero candidates to
+    slow coefficient growth.
     """
     n = len(rows)
     m = [row[:] for row in rows]
     sign = 1
-    prev = ONE
+    prev = [1]
     for k in range(n - 1):
-        pivot_row = None
-        pivot_deg = None
-        for r in range(k, n):
-            entry = m[r][k]
-            if not entry:
-                continue
-            deg = len(entry._n)
-            if pivot_deg is None or deg < pivot_deg:
-                pivot_row, pivot_deg = r, deg
-        if pivot_row is None:
-            return ZERO
+        candidates = [r for r in range(k, n) if m[r][k]]
+        if not candidates:
+            return []
+        pivot_row = min(candidates, key=lambda r: len(m[r][k]))
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
         pivot = m[k][k]
         for i in range(k + 1, n):
+            c = [-v for v in m[i][k]]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = ZERO
+                e = _int_add(_int_mul(m[i][j], pivot), _int_mul(c, m[k][j]))
+                m[i][j] = _int_exquo(_trim(e), prev)
         prev = pivot
     det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def clear_denominators(row: Sequence[RatFunc]) -> tuple[list[Poly], Poly]:
-    """The row times a common multiple of its denominators, and that multiple
-    (the lcm of the denominators up to a constant)."""
-    nums, scale = _int_clear([(e._n, e._d) for e in row])
-    return [Poly._of(n, 1) for n in nums], Poly._of(scale, 1)
+    return [-v for v in det] if sign < 0 else det
 
 
 class RatFunc:

@@ -108,8 +108,6 @@ class RingElem:
     def __add__(self, other) -> RingElem:
         other = _as_elem(other)
         da, db = self._d, other._d
-        if da == db:
-            return _canon([_int_add(x, y) for x, y in zip(self._n, other._n)], da)
         return _canon(
             [_int_add(_int_mul(x, db), _int_mul(y, da)) for x, y in zip(self._n, other._n)],
             _int_mul(da, db),

@@ -4,13 +4,15 @@ This is the schoolbook the integer kernel of ``thueff.quartic`` replaced:
 each power-basis coefficient is a separately normalized ``RatFunc``,
 products fold alpha^6..alpha^4 with ``quartic.REWRITE_ROW`` (read at call
 time), and an inverse solves the multiplication-by-a system with Cramer's
-rule after clearing each row's denominators.  Elements are plain 4-tuples
-of ``RatFunc``; compare them with ``RingElem.coeffs``.
+rule: each row's denominators are cleared with ``_int_clear`` and the
+determinants of the integer rows come from ``bareiss_det``, not from the
+cofactor expansion of ``quartic._cramer``.  Elements are plain 4-tuples of
+``RatFunc``; compare them with ``RingElem.coeffs``.
 """
 
 from thueff import quartic
 from thueff.errors import SingularSystem
-from thueff.polynomials import RatFunc, bareiss_det, clear_denominators
+from thueff.polynomials import RatFunc, _int_clear, bareiss_det
 
 RF_ZERO = RatFunc(0)
 RF_ONE = RatFunc(1)
@@ -59,12 +61,12 @@ def inv(a):
         for i in range(4):
             matrix[i].append(col[i])
         col = _times_alpha(col)
-    rows = [clear_denominators([*row, r])[0] for row, r in zip(matrix, ONE)]
+    rows = [_int_clear([(c._n, c._d) for c in (*row, r)])[0] for row, r in zip(matrix, ONE)]
     det = bareiss_det([row[:4] for row in rows])
     if not det:
         raise SingularSystem("singular 4x4 system in ring inversion")
     return tuple(
-        RatFunc(bareiss_det([row[:j] + [row[4]] + row[j + 1 : 4] for row in rows]), det)
+        RatFunc._of(bareiss_det([row[:j] + [row[4]] + row[j + 1 : 4] for row in rows]), det)
         for j in range(4)
     )
 

@@ -25,15 +25,16 @@ from thueff.bounds import (
 )
 from thueff.errors import InconsistentRamification, InvalidDegree, NotMonic
 from thueff.laurent import expand_ratfunc, quartic_roots
-from thueff.polynomials import Poly, RatFunc
+from thueff.polynomials import LAM, Poly, RatFunc
+from thueff.quartic import RingElem, norm
 
 
-def monic_from_roots(roots: list[Fraction]) -> list[RatFunc]:
-    """Ascending coefficients of prod (X - r) with rational roots."""
+def monic_from_roots(roots: list[Fraction | RatFunc]) -> list[RatFunc]:
+    """Ascending coefficients of prod (X - r) with roots in Q or Q(lam)."""
     coeffs = [RatFunc(1)]
     for r in roots:
         shifted = [RatFunc(0)] + coeffs
-        scaled = [RatFunc(Poly((-r,))) * c for c in coeffs] + [RatFunc(0)]
+        scaled = [(RatFunc(0) - r) * c for c in coeffs] + [RatFunc(0)]
         coeffs = [a + b for a, b in zip(shifted, scaled)]
     return coeffs
 
@@ -54,6 +55,20 @@ def test_resultant_is_root_difference_product():
             for y in b:
                 product *= x - y
         assert got == RatFunc(Poly((product,)))
+
+
+def test_resultant_is_root_difference_product_over_q_lambda():
+    # roots with denominators in Z[lam]: the cleared rows carry 1/fd and
+    # 1/gd, so the scale fd**n * gd**m is exercised
+    rng = random.Random(20261021)
+    for _ in range(40):
+        a = [conftest.rand_ratfunc(rng, max_deg=2) for _ in range(rng.randint(1, 3))]
+        b = [conftest.rand_ratfunc(rng, max_deg=2) for _ in range(rng.randint(1, 3))]
+        product = RatFunc(1)
+        for x in a:
+            for y in b:
+                product *= x - y
+        assert resultant(monic_from_roots(a), monic_from_roots(b)) == product
 
 
 def test_resultant_rejects_zero_polynomial():
@@ -117,6 +132,13 @@ def test_family_discriminant_closed_form():
     assert disc == RatFunc(Poly((16384, 0, 3072, 0, 192, 0, 4)))
     assert disc == RatFunc(Poly((16, 0, 1)) ** 3 * Poly((4,)))
     assert discriminant(f_lambda_xpoly()) == disc
+
+
+def test_family_discriminant_is_norm_of_derivative():
+    # disc f = N(f'(alpha)) for monic quartic f: the Sylvester determinant
+    # (bareiss_det) and the multiplication-matrix determinant (quartic._cramer)
+    # agree.  f'(alpha) = lam - 12 alpha - 3 lam alpha^2 + 4 alpha^3.
+    assert norm(RingElem.of(LAM, -12, -3 * LAM, 4)) == f_lambda_discriminant()
 
 
 def test_family_discriminant_against_series_roots():

@@ -4,7 +4,8 @@ Oracles come first: a classic monic Euclidean gcd over Fraction
 coefficients (independent of the primitive-sequence gcd in the package),
 a permutation-expansion determinant, and plain ``Fraction``-tuple
 polynomial arithmetic (a cross-check of ``Poly``'s integer numerators
-over one denominator). Pinned cases cover exact quotients, gcd,
+over one denominator and of the exact quotient ``_int_exquo`` on integer
+coefficient lists). Pinned cases cover exact quotients, gcd,
 canonical field arithmetic, the text form and the error surface; seeded
 random loops check the oracles, the integer representation's canonical
 form and the field axioms.
@@ -28,8 +29,10 @@ from thueff.polynomials import (
     ZERO,
     Poly,
     RatFunc,
+    _int_exquo,
     _int_mul,
     _int_mul_low,
+    _int_primitive,
     bareiss_det,
     poly_gcd,
 )
@@ -171,15 +174,17 @@ def test_integer_kernel_matches_fraction_reference_random():
             assert got.coeffs == want
             assert got == Poly(want)
         if rb:
-            assert (a * b) // b == a
+            assert _int_exquo(_int_mul(a._n, b._n), b._n) == list(a._n)
+            # b._n = c * p for its primitive part p, so a._n / p = c * a._d * (a / b) / b._d
+            p = _int_primitive(b._n)
+            c = b._n[-1] // p[-1]
             rq, rr = ref_divmod(ra, rb)
             if rr:
                 with pytest.raises(ValueError):
-                    a // b
+                    _int_exquo(a._n, p)
             else:
-                q = a // b
-                assert_integer_canonical(q)
-                assert q.coeffs == rq
+                q = _int_exquo(a._n, p)
+                assert Poly(q) == Poly(rq) * Fraction(c * a._d, b._d)
         if ra or rb:
             g = poly_gcd(a, b)
             assert_integer_canonical(g)
@@ -286,31 +291,31 @@ def test_low_degree_pinned():
     assert ZERO.low_degree == float("inf")
 
 
-# -- exact quotients -------------------------------------------------------------
+# -- exact quotients in Z[lam] -----------------------------------------------------
 
 
 def test_exact_quotient_pinned():
-    assert Poly((-1, 0, 1)) // Poly((-1, 1)) == Poly((1, 1))
-    assert LAM // LAM == ONE
-    assert ZERO // LAM == ZERO
-    # a divisor with content and a denominator: (6 lam^2) / ((4/3) lam)
-    assert Poly((0, 0, 6)) // Poly((0, Fraction(4, 3))) == Poly((0, Fraction(9, 2)))
-    assert Poly((4, 6)) // 2 == Poly((2, 3))
-
-
-def test_exact_quotient_by_zero_raises():
-    with pytest.raises(ZeroDivisor):
-        LAM // ZERO
+    assert _int_exquo([-1, 0, 1], [-1, 1]) == [1, 1]
+    assert _int_exquo([0, 1], [0, 1]) == [1]
+    assert _int_exquo([], [0, 1]) == []
+    # a divisor with content that divides over Z: (6 lam^2) / (2 lam)
+    assert _int_exquo([0, 0, 6], [0, 2]) == [0, 3]
+    assert _int_exquo([4, 6], [2]) == [2, 3]
 
 
 def test_inexact_quotient_raises():
     # no floor quotient: a divisor that leaves a remainder is refused
     with pytest.raises(ValueError):
-        LAM // (LAM + 1)
+        _int_exquo([0, 1], [1, 1])
     with pytest.raises(ValueError):
-        Poly((2, 0, 0, 1)) // Poly((0, 0, 1))
+        _int_exquo([2, 0, 0, 1], [0, 0, 1])
     with pytest.raises(ValueError):
-        ONE // LAM
+        _int_exquo([1], [0, 1])
+    # divides over Q but not over Z: the divisor 4 lam is not primitive
+    with pytest.raises(ValueError):
+        _int_exquo([0, 0, 6], [0, 4])
+    with pytest.raises(ValueError):
+        _int_exquo([3], [2])
 
 
 # -- gcd -----------------------------------------------------------------------
@@ -359,9 +364,9 @@ def test_gcd_matches_euclid_reference_random():
         want = euclid_gcd_reference(a, b)
         assert got == want
         assert got.is_monic()
-        # the gcd divides both inputs exactly
+        # the gcd divides both inputs exactly (the tuple oracle's remainder)
         for p in (a, b):
-            assert (p // got) * got == p
+            assert ref_divmod(p.coeffs, got.coeffs)[1] == ()
 
 
 # -- rational-function field arithmetic ----------------------------------------
@@ -440,17 +445,25 @@ def test_canonical_equality_means_zero_difference():
         assert same == (a == b)
 
 
-# -- determinants ---------------------------------------------------------------
+# -- determinants over Z[lam] ------------------------------------------------------
 
 
 def test_det_two_by_two():
-    rows = [[LAM, ONE], [ONE, LAM]]
-    assert bareiss_det(rows) == Poly((-1, 0, 1))
+    rows = [[[0, 1], [1]], [[1], [0, 1]]]
+    assert bareiss_det(rows) == [-1, 0, 1]
 
 
 def test_det_zero_row_is_zero():
-    rows = [[LAM, ONE], [ZERO, ZERO]]
-    assert bareiss_det(rows) == ZERO
+    rows = [[[0, 1], [1]], [[], []]]
+    assert bareiss_det(rows) == []
+
+
+def test_det_zero_first_pivot_swaps_rows():
+    # the swap flips the sign: det [[0, 1], [1, 0]] = -1
+    assert bareiss_det([[[], [1]], [[1], []]]) == [-1]
+    # det [[0, lam, 1], [1, 0, lam], [lam, 1, 0]] = lam^3 + 1
+    rows = [[[], [0, 1], [1]], [[1], [], [0, 1]], [[0, 1], [1], []]]
+    assert bareiss_det(rows) == [1, 0, 0, 1]
 
 
 def test_det_matches_permutation_expansion_random():
@@ -458,10 +471,15 @@ def test_det_matches_permutation_expansion_random():
     for _ in range(150):
         n = rng.randint(1, 4)
         rows = [
-            [conftest.rand_poly(rng, max_deg=2, lo=-4, hi=4) for _ in range(n)]
+            [list(conftest.rand_poly(rng, max_deg=2, lo=-4, hi=4)._n) for _ in range(n)]
             for _ in range(n)
         ]
-        assert bareiss_det(rows) == permutation_det_reference(rows)
+        if rng.randrange(4) == 0:
+            rows[0][0] = []
+        det = bareiss_det(rows)
+        assert type(det) is list and all(type(v) is int for v in det)
+        assert not det or det[-1] != 0
+        assert Poly(det) == permutation_det_reference([[Poly(e) for e in row] for row in rows])
 
 
 # -- text form ----------------------------------------------------------------------

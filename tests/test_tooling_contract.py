@@ -10,7 +10,7 @@ import types
 from fractions import Fraction
 
 import thueff
-from thueff import cli, laurent, quartic, search, valuations
+from thueff import bounds, cli, laurent, polynomials, quartic, search, valuations
 from thueff.laurent import quartic_roots
 from thueff.polynomials import Poly, RatFunc
 from thueff.search import TRIVIAL_TRIPLES
@@ -78,6 +78,26 @@ def test_norm_forms_its_value_through_ratfunc_mul(monkeypatch):
     monkeypatch.setattr(RatFunc, "__mul__", counting)
     quartic.norm(quartic.ALPHA + 1)
     assert len(calls) >= 1
+
+
+def test_verify_takes_one_bareiss_determinant(monkeypatch):
+    # The tracer wraps public module functions only, and the per-layer
+    # metric ``polynomials.bareiss_det.calls`` reads the calls of this name:
+    # one per verify (the Sylvester determinant of disc f).  A rename or a
+    # move behind an underscore would make it read 0 without failing.
+    det = polynomials.bareiss_det
+    assert inspect.isfunction(det) and det.__module__ == "thueff.polynomials"
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return det(rows)
+
+    for module in (thueff, bounds, polynomials, quartic, search, valuations, laurent, cli):
+        if vars(module).get("bareiss_det") is det:
+            monkeypatch.setattr(module, "bareiss_det", counting)
+    assert search.verify_theorem().passed
+    assert calls == [7]
 
 
 def test_ring_algebra_gate_reads_fraction_coefficients():
