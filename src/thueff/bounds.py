@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import InconsistentRamification, InvalidDegree, NotMonic
-from .polynomials import LAM, RatFunc, _int_clear, _int_mul, _int_pow, bareiss_det
+from .polynomials import LAM, RatFunc, _fraction, _int_clear, _int_mul, _int_pow
+from .polynomials import bareiss_det
 
 #: Uniform-in-a exponent cap (largest integer below 11 - 4/a for all a >= 1).
 EXPONENT_BUDGET = 10
@@ -45,23 +46,24 @@ def _xpoly_derivative(f: Sequence[RatFunc]) -> list[RatFunc]:
 def resultant(f: Sequence[RatFunc], g: Sequence[RatFunc]) -> RatFunc:
     """Sylvester resultant of two X-polynomials over Q(lam).
 
-    Coefficients ascend in X; degrees m = deg f and n = deg g are taken
-    after trimming zeros.  The coefficients of f and of g are each put over
-    one denominator in Z[lam], fd and gd, so the Sylvester matrix's n rows
-    of f and m rows of g are integer rows that carry 1/fd and 1/gd:
+    Coefficients ascend in X, each an int, ``Fraction``, ``Poly`` or
+    ``RatFunc`` (``polynomials._fraction``); degrees m = deg f and n = deg g
+    are taken after trimming zeros.  The coefficients of f and of g are each
+    put over one denominator in Z[lam], fd and gd, so the Sylvester matrix's
+    n rows of f and m rows of g are integer rows that carry 1/fd and 1/gd:
     Res = det / (fd**n * gd**m), with the integer det from ``bareiss_det``.
     """
-    m = _xpoly_degree(f)
-    n = _xpoly_degree(g)
+    fn, fd = _int_clear([_fraction(c) for c in f])
+    gn, gd = _int_clear([_fraction(c) for c in g])
+    m = _xpoly_degree(fn)
+    n = _xpoly_degree(gn)
     if m < 0 or n < 0:
         raise InvalidDegree("resultant of the zero polynomial is undefined")
     if m == 0 and n == 0:
         return RatFunc(1)
-    fn, fd = _int_clear([(c._n, c._d) for c in f[: m + 1]])
-    gn, gd = _int_clear([(c._n, c._d) for c in g[: n + 1]])
     size = m + n
-    rows = [[[]] * shift + fn[::-1] + [[]] * (size - shift - m - 1) for shift in range(n)]
-    rows += [[[]] * shift + gn[::-1] + [[]] * (size - shift - n - 1) for shift in range(m)]
+    rows = [[[]] * shift + fn[m::-1] + [[]] * (size - shift - m - 1) for shift in range(n)]
+    rows += [[[]] * shift + gn[n::-1] + [[]] * (size - shift - n - 1) for shift in range(m)]
     return RatFunc._of(bareiss_det(rows), _int_mul(_int_pow(fd, n), _int_pow(gd, m)))
 
 
@@ -74,7 +76,7 @@ def discriminant(f: Sequence[RatFunc]) -> RatFunc:
     n = _xpoly_degree(f)
     if n < 1:
         raise InvalidDegree("discriminant needs degree >= 1")
-    if f[n] != RatFunc(1):
+    if f[n] != 1:
         raise NotMonic("discriminant is implemented for monic polynomials")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     res = resultant(f, _xpoly_derivative(f))

@@ -118,6 +118,8 @@ class LaurentSeries:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: LaurentSeries) -> LaurentSeries:
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
         order = min(self._order, other._order)
         lo = min(self._lead, other._lead, order)
         w = self._w.shift(self._lead - lo) + other._w.shift(other._lead - lo)
@@ -132,6 +134,8 @@ class LaurentSeries:
     def __mul__(self, other) -> LaurentSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
         order = min(self._lead + other._order, other._lead + self._order)
         lo = self._lead + other._lead
         return _series(lo, self._w.mul_low(other._w, order - lo), order)
@@ -139,7 +143,7 @@ class LaurentSeries:
     __rmul__ = __mul__
 
     def scale(self, c) -> LaurentSeries:
-        return _series(self._lead, self._w * Fraction(c), self._order)
+        return _series(self._lead, self._w * c, self._order)
 
     def inv(self) -> LaurentSeries:
         """Multiplicative inverse, known to order ``order - 2*lead``.

@@ -21,6 +21,12 @@ This module supplies its two building blocks:
   both to it.  ``num`` and ``den`` are ``Poly`` views over a monic
   denominator.
 
+Outside values enter here and nowhere else: ``Poly`` takes int and
+``Fraction`` coefficients, and ``_fraction`` -- the one intake of
+``RatFunc``, the quartic ring and ``bounds.resultant`` -- takes an int,
+``Fraction``, ``Poly`` or ``RatFunc`` to N/D over Z[lam].  Both refuse a
+float, a ``Decimal`` or a string with TypeError.
+
 ``Poly`` sums and products, the gcd, ``RatFunc`` arithmetic and the
 quartic ring's integer form all run on kernels over integer coefficient
 lists (``_int_add``, ``_int_mul``, ``_int_gcd``, ``_int_exquo``), and so
@@ -57,7 +63,9 @@ class Poly:
     __slots__ = ("_n", "_d")
 
     def __init__(self, coeffs: Iterable[CoeffLike] = ()):
-        c = [x if type(x) is int else Fraction(x) for x in coeffs]
+        c = list(coeffs)
+        if not all(isinstance(x, (int, Fraction)) for x in c):
+            raise TypeError(f"polynomial coefficients must be int or Fraction, got {c!r}")
         d = lcm(*(x.denominator for x in c))
         p = Poly._of([x.numerator * (d // x.denominator) for x in c], d)
         self._n, self._d = p._n, p._d
@@ -189,6 +197,9 @@ class Poly:
         return self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
+        # a constant equals its Fraction, so it hashes like one
+        if len(self._n) <= 1:
+            return hash(self[0])
         return hash((self._n, self._d))
 
     def __str__(self) -> str:
@@ -203,9 +214,7 @@ class Poly:
 def _as_poly(x) -> Poly:
     if isinstance(x, Poly):
         return x
-    if isinstance(x, (int, Fraction)):
-        return Poly((x,))
-    raise TypeError(f"cannot interpret {x!r} as a polynomial")
+    return Poly((x,))
 
 
 #: The coefficient-field indeterminate.
@@ -459,15 +468,14 @@ class RatFunc:
 
     __slots__ = ("_n", "_d")
 
-    def __init__(self, num: Poly | CoeffLike = 0, den: Poly | CoeffLike = 1):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if not den:
+    def __init__(self, num=0, den=1):
+        """num / den, each an int, ``Fraction``, ``Poly`` or ``RatFunc``."""
+        a, da = _fraction(num)
+        b, db = _fraction(den)
+        if not b:
             raise ZeroDivisor("rational function with zero denominator")
-        # (a / d_a) / (b / d_b) = (a * d_b) / (b * d_a)
-        (self._n,), self._d = _int_canon(
-            [[v * den._d for v in num._n]], [v * num._d for v in den._n]
-        )
+        # (a / da) / (b / db) = (a * db) / (b * da)
+        (self._n,), self._d = _int_canon([_int_mul(a, db)], _int_mul(b, da))
 
     @classmethod
     def _of(cls, n: Sequence[int], d: Sequence[int]) -> RatFunc:
@@ -519,7 +527,7 @@ class RatFunc:
         return self + (-other)
 
     def __rsub__(self, other) -> RatFunc:
-        return _as_ratfunc(other) - self
+        return -self + other
 
     def __mul__(self, other) -> RatFunc:
         other = _as_ratfunc(other)
@@ -538,7 +546,7 @@ class RatFunc:
         return self * other.inv()
 
     def __rtruediv__(self, other) -> RatFunc:
-        return _as_ratfunc(other) / self
+        return self.inv() * other
 
     def inv(self) -> RatFunc:
         n, d = self._n, self._d
@@ -563,6 +571,9 @@ class RatFunc:
         return self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
+        # a constant equals its Fraction, so it hashes like one
+        if len(self._d) == 1 and len(self._n) <= 1:
+            return hash(self.num[0])
         return hash((self._n, self._d))
 
     def __str__(self) -> str:
@@ -570,6 +581,20 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r}, {self.den!r})"
+
+
+def _fraction(x) -> tuple[list[int], list[int]]:
+    """The one intake of an outside value into Z[lam]: an int, ``Fraction``,
+    ``Poly`` or ``RatFunc`` as a numerator list over a nonzero denominator
+    list, both without trailing zeros.  Anything else (a float, a
+    ``Decimal``, a string) is refused with TypeError."""
+    if isinstance(x, (int, Fraction)):
+        return ([x.numerator] if x else []), [x.denominator]
+    if isinstance(x, Poly):
+        return list(x._n), [x._d]
+    if isinstance(x, RatFunc):
+        return list(x._n), list(x._d)
+    raise TypeError(f"cannot interpret {x!r} as an element of Q(lam)")
 
 
 def _as_ratfunc(x):

@@ -12,8 +12,10 @@ lc(D) > 0 -- so equal values have equal representations, and equality
 and hashing compare them directly.  Every unit and conjugate the
 verifier meets lies in Z[1/2][lam][alpha], where D is an integer and
 canonicalizing divides out an integer content without a polynomial gcd.
-A ``RatFunc`` coefficient enters as its own integer tuples, and ``c0``..
-``c3`` (and ``coeffs``) canonicalize their coordinate Ni / D into one.
+A coefficient (int, ``Fraction``, ``Poly`` or ``RatFunc``; 0 if left
+out) enters through ``polynomials._fraction``, the one intake, which
+refuses anything else with TypeError; ``c0``..``c3`` (and ``coeffs``)
+canonicalize their coordinate Ni / D into one.
 
 Products are 16 integer convolutions, reduced with the rewrite rule
 
@@ -42,7 +44,7 @@ from; another object in ``REWRITE_ROW`` gets new tables.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 from functools import cached_property
 
 from .errors import NotMonic, SingularSystem, ZeroDivisor
@@ -51,6 +53,7 @@ from .polynomials import (
     Poly,
     RatFunc,
     _as_poly,
+    _fraction,
     _int_add,
     _int_canon,
     _int_clear,
@@ -69,8 +72,8 @@ class RingElem:
 
     __slots__ = ("_n", "_d")
 
-    def __init__(self, c0, c1, c2, c3):
-        """From four coefficients, each a ``RatFunc``, ``Poly``, int or Fraction."""
+    def __init__(self, c0=0, c1=0, c2=0, c3=0):
+        """From four coefficients (0 if left out): int, Fraction, Poly or RatFunc."""
         self._n, self._d = _int_canon(*_int_clear([_fraction(c) for c in (c0, c1, c2, c3)]))
 
     @classmethod
@@ -80,10 +83,6 @@ class RingElem:
         out._n = nums
         out._d = den
         return out
-
-    @staticmethod
-    def of(c0=0, c1=0, c2=0, c3=0) -> RingElem:
-        return RingElem(c0, c1, c2, c3)
 
     @property
     def coeffs(self) -> tuple[RatFunc, RatFunc, RatFunc, RatFunc]:
@@ -106,7 +105,8 @@ class RingElem:
         return hash((self._n, self._d))
 
     def __add__(self, other) -> RingElem:
-        other = _as_elem(other)
+        if not isinstance(other, RingElem):
+            other = RingElem(other)
         da, db = self._d, other._d
         return _canon(
             [_int_add(_int_mul(x, db), _int_mul(y, da)) for x, y in zip(self._n, other._n)],
@@ -119,16 +119,16 @@ class RingElem:
         return RingElem._raw(tuple(tuple(-v for v in n) for n in self._n), self._d)
 
     def __sub__(self, other) -> RingElem:
-        return self + (-_as_elem(other))
+        return self + (-other)
 
     def __rsub__(self, other) -> RingElem:
-        return _as_elem(other) - self
+        return RingElem(other) - self
 
     def __mul__(self, other) -> RingElem:
-        if isinstance(other, (int, Fraction, RatFunc, Poly)):
-            sn, sd = _fraction(other)
-            return _canon([_int_mul(n, sn) for n in self._n], _int_mul(self._d, sd))
-        return ring_mul(self, _as_elem(other))
+        if isinstance(other, RingElem):
+            return ring_mul(self, other)
+        sn, sd = _fraction(other)
+        return _canon([_int_mul(n, sn) for n in self._n], _int_mul(self._d, sd))
 
     __rmul__ = __mul__
 
@@ -144,29 +144,15 @@ class RingElem:
         return "RingElem({!r}, {!r}, {!r}, {!r})".format(*self.coeffs)
 
 
-def _fraction(x) -> tuple[IntList, IntList]:
-    """A coefficient as an integer numerator list over a nonzero denominator list."""
-    if isinstance(x, RatFunc):
-        return list(x._n), list(x._d)
-    p = _as_poly(x)
-    return list(p._n), [p._d]
-
-
 def _canon(nums: list[IntList], den: IntList) -> RingElem:
     """The element (nums[0] + ... + nums[3]*alpha^3) / den (den nonzero),
     in the canonical form of ``polynomials._int_canon``."""
     return RingElem._raw(*_int_canon(nums, den))
 
 
-def _as_elem(x) -> RingElem:
-    if isinstance(x, RingElem):
-        return x
-    return RingElem(x, 0, 0, 0)
-
-
-ZERO = RingElem.of(0)
-ONE = RingElem.of(1)
-ALPHA = RingElem.of(0, 1)
+ZERO = RingElem()
+ONE = RingElem(1)
+ALPHA = RingElem(0, 1)
 
 
 def _fold(vec: list[IntList]) -> list[IntList]:
@@ -285,15 +271,12 @@ def norm(a: RingElem) -> RatFunc:
 
 def elem_from_xy(x: Poly, y: Poly) -> RingElem:
     """The linear form x - alpha*y, the left side of the norm equation."""
-    return RingElem(x, -y, 0, 0)
+    return RingElem(x, -y)
 
 
 def f_lambda_eval(x: Poly, y: Poly) -> RatFunc:
     """The quartic form X^4 - lam*X^3*Y - 6*X^2*Y^2 + lam*X*Y^3 + Y^4."""
-    if not isinstance(x, Poly):
-        x = Poly((x,))
-    if not isinstance(y, Poly):
-        y = Poly((y,))
+    x, y = _as_poly(x), _as_poly(y)
     value = (
         x**4 - LAM * x**3 * y - 6 * x**2 * y**2 + LAM * x * y**3 + y**4
     )
@@ -302,15 +285,15 @@ def f_lambda_eval(x: Poly, y: Poly) -> RatFunc:
 
 def min_poly_value(a: RingElem) -> RingElem:
     """a^4 - lam*a^3 - 6*a^2 + lam*a + 1; zero exactly on the conjugates."""
-    lam = RatFunc(LAM)
     a2 = ring_mul(a, a)
     a3 = ring_mul(a2, a)
     a4 = ring_mul(a2, a2)
-    return a4 - a3 * lam - a2 * 6 + a * lam + ONE
+    return a4 - a3 * LAM - a2 * 6 + a * LAM + ONE
 
 
 def unit_from_exponents(r: int, s: int, t: int) -> RingElem:
-    """(alpha-1)^r * alpha^s * (alpha+1)^t, exactly."""
+    """(alpha-1)^r * alpha^s * (alpha+1)^t, exactly, for integers r, s, t."""
+    r, s, t = operator.index(r), operator.index(s), operator.index(t)
     tables = _tables()
     out = ring_mul(tables.unit_power(0, r), tables.unit_power(1, s))
     return ring_mul(out, tables.unit_power(2, t))

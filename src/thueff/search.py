@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from . import bounds, laurent, quartic, valuations
 from .errors import ReproductionFailure
-from .polynomials import LAM, Poly, RatFunc
+from .polynomials import LAM, RatFunc
 
 Triple = tuple[int, int, int]
 
@@ -280,7 +280,7 @@ def solution_classes(found: list[Triple] | None = None) -> list[SolutionClass]:
         y = Fraction(-n1[0] if n1 else 0, den[0])
         if x < 0 or (x == 0 and y < 0):
             x, y = -x, -y
-        xi = quartic.f_lambda_eval(Poly((x,)), Poly((y,)))
+        xi = quartic.f_lambda_eval(x, y)
         if not (xi.den.is_constant() and xi.num.is_constant()):
             raise ReproductionFailure(f"norm of triple {triple} is not constant")
         classes.append(SolutionClass(triple, x, y, xi.num[0]))
@@ -399,25 +399,19 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
         "rewrite-rule",
         "alpha^4 folds onto the power basis",
         lambda: quartic.ring_mul(alpha, quartic.ring_pow(alpha, 3))
-        == quartic.RingElem.of(-1, -LAM, 6, LAM),
+        == quartic.RingElem(-1, -LAM, 6, LAM),
     )
 
-    quarter = Fraction(1, 4)
     check(
         "inverse-alpha-plus-1",
         "closed form of (alpha+1)^-1",
         lambda: quartic.ring_inv(alpha + 1)
-        == quartic.RingElem.of(
-            RatFunc(Poly((5,))) * quarter,
-            RatFunc(Poly((-5, 1))) * quarter,
-            RatFunc(Poly((-1, -1))) * quarter,
-            RatFunc(Poly((1,))) * quarter,
-        ),
+        == quartic.RingElem(5, LAM - 5, -1 - LAM, 1) * Fraction(1, 4),
     )
     check(
         "inverse-alpha",
         "closed form of alpha^-1",
-        lambda: quartic.ring_inv(alpha) == quartic.RingElem.of(-LAM, 6, LAM, -1),
+        lambda: quartic.ring_inv(alpha) == quartic.RingElem(-LAM, 6, LAM, -1),
     )
 
     check(
@@ -428,7 +422,7 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
     check("norm-alpha", "N(alpha) = 1", lambda: quartic.norm(alpha) == RatFunc(1))
 
     def galois_composes() -> bool:
-        sample = quartic.RingElem.of(RatFunc(Poly((1, 2))), 3, RatFunc(Poly((0, 1))), 7)
+        sample = quartic.RingElem(1 + 2 * LAM, 3, LAM, 7)
         for i in (1, 2, 3, 4):
             for j in (1, 2, 3, 4):
                 k = ((i - 1) + (j - 1)) % 4 + 1
@@ -446,8 +440,7 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
         # only this mixed form can certify that the ring tables match the
         # actual roots.)
         diffs = (roots[1] - roots[2], roots[2] - roots[0], roots[0] - roots[1])
-        for x, y in ((Poly((3,)), Poly((1,))), (Poly((0, 1)), Poly((2,))),
-                     (Poly((1, 1)), Poly((0, 0, 1)))):
+        for x, y in ((3, 1), (LAM, 2), (1 + LAM, LAM**2)):
             beta = quartic.elem_from_xy(x, y)
             b = [quartic.galois(beta, i) for i in (1, 2, 3)]
             series = None
@@ -586,19 +579,10 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
     def classes_hold() -> bool:
         classes.extend(solution_classes(found))
         return all(
-            quartic.f_lambda_eval(Poly((c.x_coeff,)), Poly((c.y_coeff,)))
-            == RatFunc(Poly((c.xi_factor,)))
-            and quartic.norm(
-                quartic.elem_from_xy(Poly((c.x_coeff,)), Poly((c.y_coeff,)))
-            )
-            == RatFunc(Poly((c.xi_factor,)))
+            quartic.f_lambda_eval(c.x_coeff, c.y_coeff) == c.xi_factor
+            and quartic.norm(quartic.elem_from_xy(c.x_coeff, c.y_coeff)) == c.xi_factor
             for c in classes
-        ) and sorted(c.xi_factor for c in classes) == [
-            Fraction(-4),
-            Fraction(-4),
-            Fraction(1),
-            Fraction(1),
-        ]
+        ) and sorted(c.xi_factor for c in classes) == [-4, -4, 1, 1]
 
     check("solution-classes", "class identities F(x,y) = k*eta^4", classes_hold)
 

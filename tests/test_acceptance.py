@@ -63,7 +63,7 @@ def test_criterion_2_root_expansions_to_order_four():
 
 def test_criterion_3_inverse_of_alpha_plus_one_closed_form():
     quarter = RatFunc(Poly((Fraction(1, 4),)))
-    expected = RingElem.of(
+    expected = RingElem(
         quarter * RatFunc(Poly((5,))),
         quarter * RatFunc(Poly((-5, 1))),
         quarter * RatFunc(Poly((-1, -1))),

@@ -138,7 +138,7 @@ def test_family_discriminant_is_norm_of_derivative():
     # disc f = N(f'(alpha)) for monic quartic f: the Sylvester determinant
     # (bareiss_det) and the multiplication-matrix determinant (quartic._cramer)
     # agree.  f'(alpha) = lam - 12 alpha - 3 lam alpha^2 + 4 alpha^3.
-    assert norm(RingElem.of(LAM, -12, -3 * LAM, 4)) == f_lambda_discriminant()
+    assert norm(RingElem(LAM, -12, -3 * LAM, 4)) == f_lambda_discriminant()
 
 
 def test_family_discriminant_against_series_roots():

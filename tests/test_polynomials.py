@@ -8,10 +8,13 @@ over one denominator and of the exact quotient ``_int_exquo`` on integer
 coefficient lists). Pinned cases cover exact quotients, gcd,
 canonical field arithmetic, the text form and the error surface; seeded
 random loops check the oracles, the integer representation's canonical
-form and the field axioms.
+form and the field axioms.  The intake cases check that every entry
+point of the package takes the same outside values (int, ``Fraction``,
+``Poly``, ``RatFunc``) and refuses the same others with TypeError.
 """
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -20,7 +23,9 @@ import pytest
 
 import conftest
 import property_suites
+from thueff.bounds import discriminant, resultant
 from thueff.errors import UndefinedGcd, ZeroDivisor
+from thueff.laurent import LaurentSeries
 from thueff.polynomials import (
     LAM,
     ONE,
@@ -36,6 +41,7 @@ from thueff.polynomials import (
     bareiss_det,
     poly_gcd,
 )
+from thueff.quartic import ALPHA, RingElem, f_lambda_eval
 
 
 # -- reference oracles (kept deliberately naive) -------------------------------
@@ -503,3 +509,77 @@ def test_negative_poly_power_rejected():
 
 def test_field_axioms_smoke():
     assert property_suites.field_axioms(200) == 200
+
+
+# -- one intake ------------------------------------------------------------------
+
+# Each accepted case mixes the coefficient type under test with plain ints
+# (g = 2 + X, the zero of f), so every coefficient goes through one intake.
+INTAKE_TYPES = {
+    "int": int, "Fraction": Fraction, "Poly": lambda c: Poly([c]), "RatFunc": RatFunc,
+}
+
+INTAKE_ACCEPTS = {
+    **{
+        f"resultant-{name}": (lambda t=t: resultant([t(1), t(1)], [2, 1]), RatFunc(1))
+        for name, t in INTAKE_TYPES.items()
+    },
+    **{
+        f"discriminant-{name}": (lambda t=t: discriminant([t(1), 0, t(1)]), RatFunc(-4))
+        for name, t in INTAKE_TYPES.items()
+    },
+    "RatFunc-of-RatFunc": (lambda: RatFunc(RatFunc(1), RatFunc(2)), RatFunc(Fraction(1, 2))),
+}
+
+
+@pytest.mark.parametrize("case", INTAKE_ACCEPTS)
+def test_intake_accepts_int_fraction_poly_and_ratfunc(case):
+    build, want = INTAKE_ACCEPTS[case]
+    got = build()
+    assert type(got) is RatFunc
+    assert got == want
+
+
+SERIES = LaurentSeries(0, [1, 2], 2)
+
+INTAKE_ENTRY_POINTS = {
+    "Poly": lambda x: Poly([x]),
+    "RatFunc": lambda x: RatFunc(LAM, x),
+    "RatFunc-rsub": lambda x: x - RatFunc(LAM),
+    "RatFunc-rtruediv": lambda x: x / RatFunc(LAM),
+    "RingElem": lambda x: RingElem(0, x),
+    "RingElem-mul": lambda x: ALPHA * x,
+    "LaurentSeries": lambda x: LaurentSeries(0, [1, x], 2),
+    "series-scale": lambda x: SERIES.scale(x),
+    "series-add": lambda x: SERIES + x,
+    "series-mul": lambda x: SERIES * x,
+    "resultant": lambda x: resultant([1, x], [2, 1]),
+    "f_lambda_eval": lambda x: f_lambda_eval(x, 1),
+}
+
+INTAKE_REFUSES = {"float": 0.5, "Decimal": Decimal("0.5"), "str-ratio": "1/2", "str-int": "12"}
+
+
+@pytest.mark.parametrize("value", INTAKE_REFUSES)
+@pytest.mark.parametrize("entry", INTAKE_ENTRY_POINTS)
+def test_intake_refuses_inexact_and_text_values(entry, value):
+    with pytest.raises(TypeError):
+        INTAKE_ENTRY_POINTS[entry](INTAKE_REFUSES[value])
+
+
+def test_poly_refuses_a_string_of_digits():
+    # a str is an iterable of one-character strings, not of coefficients
+    with pytest.raises(TypeError):
+        Poly("12")
+
+
+def test_constant_hash_agrees_with_equality():
+    assert Poly((1,)) == 1 and RatFunc(1) == 1
+    assert len({RatFunc(1), 1, Poly((1,)), Fraction(1)}) == 1
+    assert {Poly((1,)): "a"}.get(1) == "a"
+    assert {RatFunc(-3, 4): "b"}.get(Fraction(-3, 4)) == "b"
+    for c in (0, 5, Fraction(-7, 3)):
+        assert hash(Poly([c])) == hash(RatFunc(c)) == hash(Fraction(c))
+    # a non-constant keeps the hash of its representation
+    assert hash(LAM + 1) == hash(((1, 1), 1))
+    assert hash(RatFunc(1, LAM)) == hash(((1,), (0, 1)))

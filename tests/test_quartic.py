@@ -48,7 +48,7 @@ LAM_RF = RatFunc(LAM)
 
 def test_alpha_fourth_power_rewrites():
     got = ring_mul(ALPHA, ring_pow(ALPHA, 3))
-    assert got == RingElem.of(-1, -LAM_RF, 6, LAM_RF)
+    assert got == RingElem(-1, -LAM_RF, 6, LAM_RF)
     assert got == RingElem(*REWRITE_ROW)
 
 
@@ -69,7 +69,7 @@ def test_identity_element():
 
 def test_inverse_of_alpha_plus_one_against_mul_oracle():
     quarter = RatFunc(Poly((Fraction(1, 4),)))
-    closed_form = RingElem.of(
+    closed_form = RingElem(
         quarter * RatFunc(Poly((5,))),
         quarter * RatFunc(Poly((-5, 1))),
         quarter * RatFunc(Poly((-1, -1))),
@@ -89,7 +89,7 @@ def test_inverse_of_alpha_plus_one_coefficients():
 
 def test_inverse_of_alpha_against_mul_oracle():
     # from the minimal polynomial: alpha * (alpha^3 - lam*alpha^2 - 6*alpha + lam) = -1
-    cubic = RingElem.of(LAM_RF, -6, -LAM_RF, 1)
+    cubic = RingElem(LAM_RF, -6, -LAM_RF, 1)
     assert ring_mul(ALPHA, cubic) == -ONE
     assert ring_inv(ALPHA) == -cubic
     assert ring_mul(ALPHA, ring_inv(ALPHA)) == ONE
@@ -99,7 +99,7 @@ def test_inverse_of_alpha_minus_one_against_mul_oracle():
     got = ring_inv(ALPHA - ONE)
     assert ring_mul(ALPHA - ONE, got) == ONE
     quarter = RatFunc(Poly((Fraction(1, 4),)))
-    closed_form = RingElem.of(
+    closed_form = RingElem(
         quarter * RatFunc(Poly((-5,))),
         quarter * RatFunc(Poly((-5, -1))),
         quarter * RatFunc(Poly((1, -1))),
@@ -145,7 +145,7 @@ def test_galois_two_is_mobius_image():
 
 
 def test_galois_three_is_negated_inverse():
-    assert galois(ALPHA, 3) == RingElem.of(LAM_RF, -6, -LAM_RF, 1)
+    assert galois(ALPHA, 3) == RingElem(LAM_RF, -6, -LAM_RF, 1)
     assert galois(ALPHA, 3) == -ring_inv(ALPHA)
 
 
@@ -174,7 +174,7 @@ def test_conjugates_table_matches_galois():
 def test_elem_from_xy_pinned():
     assert elem_from_xy(P_ONE, Poly(())) == ONE
     assert elem_from_xy(Poly(()), Poly((-1,))) == ALPHA
-    assert elem_from_xy(LAM, P_ONE) == RingElem.of(LAM_RF, -1)
+    assert elem_from_xy(LAM, P_ONE) == RingElem(LAM_RF, -1)
 
 
 def test_norm_of_alpha_is_one():
@@ -350,7 +350,7 @@ def test_canonical_zero_one_and_a_single_rational_slot():
     e = RingElem(0, 0, RatFunc(LAM + 1, LAM * LAM - 1), 0)
     assert e._n == ((), (), (1,), ()) and e._d == (-1, 1)
     assert e.coeffs == (RatFunc(0), RatFunc(0), RatFunc(1, LAM - 1), RatFunc(0))
-    assert e == RingElem.of(c2=RatFunc(2, 2 * LAM - 2))
+    assert e == RingElem(c2=RatFunc(2, 2 * LAM - 2))
     # A half in one slot and polynomials elsewhere: one integer denominator.
     h = RingElem(LAM, Fraction(1, 2), 0, -1)
     assert h._n == ((0, 2), (1,), (), (-2,)) and h._d == (2,)
@@ -456,3 +456,11 @@ def test_siegel_residual_smoke():
 
 def test_galois_composition_smoke():
     assert property_suites.galois_composition(200) == 200
+
+
+@pytest.mark.parametrize("exponents", [(0.5, 0, 0), (0, Fraction(1, 2), 0), (0, 0, 2.0)])
+def test_unit_exponents_must_be_integers(exponents):
+    # Stepping a half-integer toward 0 by ones never reaches the memoized
+    # power 0 (unbounded recursion), and a float 2.0 must not pass for 2.
+    with pytest.raises(TypeError):
+        unit_from_exponents(*exponents)

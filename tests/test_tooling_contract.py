@@ -114,6 +114,22 @@ def test_ring_algebra_gate_reads_fraction_coefficients():
     assert unit.num.coeffs == (Fraction(-4) ** 2,)
 
 
+def test_ring_algebra_input_constructors():
+    # perfbench's ring-algebra workload builds each element as
+    # ``RingElem(*four RatFuncs)``, each ``RatFunc(Poly(int list))`` and one
+    # of them divided by ``RatFunc(Poly(den))`` with a non-constant den, and
+    # each norm-form input as ``Poly(int list)``.  perfbench/tests is not in
+    # the test suite, so a tighter intake would break only the benchmark.
+    coeffs = [RatFunc(Poly(c)) for c in ([3, -2], [], [7], [0, 5])]
+    coeffs[2] = coeffs[2] / RatFunc(Poly([-4, 9]))
+    elem = quartic.RingElem(*coeffs)
+    assert elem.coeffs == tuple(coeffs)
+    assert coeffs[2] == RatFunc(7, Poly([-4, 9]))
+    x, y = Poly([1, -2, 3]), Poly([4])
+    assert [type(c) for c in x.coeffs] == [Fraction] * 3
+    assert quartic.norm(quartic.elem_from_xy(x, y)) == quartic.f_lambda_eval(x, y)
+
+
 def test_verify_runs_with_one_job():
     cert = search.verify_theorem(jobs=1)
     assert cert.passed

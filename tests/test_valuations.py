@@ -130,7 +130,7 @@ def _near_root_elem():
     """alpha minus the first twelve terms of its own first embedding."""
     s = quartic_roots(12)[0]
     window = Poly([s.coeff_at(11 - j) for j in range(12)])
-    return quartic.ALPHA - quartic.RingElem.of(RatFunc(window, LAM ** 11))
+    return quartic.ALPHA - quartic.RingElem(RatFunc(window, LAM ** 11))
 
 
 def test_precision_escalates_past_default_order():
@@ -178,8 +178,8 @@ def test_embedding_matches_the_ratfunc_route():
     # denominators lam^k (an exact expansion) and a square
     elems += [
         _near_root_elem(),
-        quartic.RingElem.of(RatFunc(1, LAM + 1), 0, RatFunc(LAM, (LAM - 2) ** 2), 3),
-        quartic.RingElem.of(Fraction(1, 6), RatFunc(Poly((1, 0, 5)), LAM ** 3)),
+        quartic.RingElem(RatFunc(1, LAM + 1), 0, RatFunc(LAM, (LAM - 2) ** 2), 3),
+        quartic.RingElem(Fraction(1, 6), RatFunc(Poly((1, 0, 5)), LAM ** 3)),
     ]
     assert sum(len(a._d) > 1 for a in elems) >= 5
     for a in elems:
