@@ -245,11 +245,11 @@ def _term_text(c: Fraction, e: int) -> str:
     return f"{cs}{lam_part}"
 
 
-def monomial(exponent: int, order: int, coeff=1) -> LaurentSeries:
-    """coeff * lam**(-exponent), exactly known through the given order."""
+def monomial(exponent: int, order: int) -> LaurentSeries:
+    """lam**(-exponent), exactly known through the given order."""
     if exponent >= order:
         raise ValueError("monomial exponent must sit below the order")
-    return _series(exponent, Poly((coeff,)), order)
+    return _series(exponent, Poly((1,)), order)
 
 
 def constant(value, order: int) -> LaurentSeries:

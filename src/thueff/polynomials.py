@@ -122,6 +122,8 @@ class Poly:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: Poly | CoeffLike) -> Poly:
+        if isinstance(other, RatFunc):
+            return NotImplemented
         other = _as_poly(other)
         a, b, d = self._n, other._n, self._d
         if d != other._d:
@@ -139,12 +141,14 @@ class Poly:
         return out
 
     def __sub__(self, other: Poly | CoeffLike) -> Poly:
-        return self + (-_as_poly(other))
+        return -(-self + other)
 
     def __rsub__(self, other: CoeffLike) -> Poly:
         return _as_poly(other) - self
 
     def __mul__(self, other: Poly | CoeffLike) -> Poly:
+        if isinstance(other, RatFunc):
+            return NotImplemented
         other = _as_poly(other)
         if not self._n or not other._n:
             return ZERO
@@ -197,10 +201,10 @@ class Poly:
         return self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
-        # a constant equals its Fraction, so it hashes like one
+        # equal to its Fraction if constant, else to its RatFunc: hash like it
         if len(self._n) <= 1:
             return hash(self[0])
-        return hash((self._n, self._d))
+        return hash((self._n, (self._d,)))
 
     def __str__(self) -> str:
         if not self._n:

@@ -17,17 +17,19 @@ out) enters through ``polynomials._fraction``, the one intake, which
 refuses anything else with TypeError; ``c0``..``c3`` (and ``coeffs``)
 canonicalize their coordinate Ni / D into one.
 
-Products are 16 integer convolutions, reduced with the rewrite rule
+A product is the 16 products of the numerators, folded with the rule
 
     alpha^4 = lam*alpha^3 + 6*alpha^2 - lam*alpha - 1
 
-applied from the top degree down.  The kernel takes the rule's integer
-form from the current ``REWRITE_ROW``, so swapping the tuple (as
-fault-injection tests do) takes effect on the next product.  The row must
-lie in Z[lam] (``NotMonic`` otherwise): f is then monic over Z[lam], and
-folding never leaves Z[lam].  One routine expands the integer matrix of
+from the top degree down; one routine expands the integer matrix of
 multiplication by a along its first row: its cofactors give the inverse
-by Cramer's rule, and its determinant over D^4 is the norm N(a).  The
+by Cramer's rule, and its determinant over D^4 is the norm N(a).  Both
+run on plain ints at lam = 2^bits, bits from a proven coefficient bound
+(Kronecker substitution; von zur Gathen & Gerhard, *Modern Computer
+Algebra*, 8.4), with the rule's integer form from the current
+``REWRITE_ROW``: a swapped tuple (as in fault-injection tests) acts on
+the next product.  The row must lie in Z[lam] (``NotMonic`` otherwise):
+f is then monic over Z[lam], and folding never leaves Z[lam].  The
 defining quartic is invariant under the order-4 Moebius map
 z -> (z - 1)/(z + 1), so its four roots inside K are
 
@@ -45,6 +47,7 @@ from; another object in ``REWRITE_ROW`` gets new tables.
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import NotMonic, SingularSystem, ZeroDivisor
@@ -58,7 +61,6 @@ from .polynomials import (
     _int_canon,
     _int_clear,
     _int_mul,
-    _trim,
 )
 
 #: Coefficients of alpha^4 on the power basis (the rewrite rule).
@@ -98,10 +100,14 @@ class RingElem:
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElem):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, Poly, RatFunc)):
+                return NotImplemented
+            other = RingElem(other)
         return self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
+        if not any(self._n[1:]):  # equal to its c0 in Q(lam): hash like it
+            return hash(RatFunc._raw(self._n[0], self._d))
         return hash((self._n, self._d))
 
     def __add__(self, other) -> RingElem:
@@ -155,33 +161,64 @@ ONE = RingElem(1)
 ALPHA = RingElem(0, 1)
 
 
-def _fold(vec: list[IntList]) -> list[IntList]:
-    """Fold sum(vec[k] alpha^k), k up to 6, onto the power basis.
+def _at(n, x: int) -> int:
+    """The Z[lam] coefficient list n evaluated at lam = x, by Horner's rule."""
+    acc = 0
+    for c in reversed(n):
+        acc = acc * x + c
+    return acc
 
-    Returns the four folded numerator lists, in Z[lam] like the rewrite row.
-    """
-    rows = _tables().row._n
-    for k in range(len(vec) - 1, 3, -1):
+
+def _digits(v: int, bits: int) -> IntList:
+    """The Z[lam] list worth v at lam = 2^bits: v's balanced base-2^bits digits."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    out = []
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        out.append(d)
+        v = (v - d) >> bits
+    return out
+
+
+def _images(bound: int, *elems: RingElem) -> tuple[int, list[list[int]]]:
+    """bits whose digits hold every size <= bound; the row's and elems' images at 2^bits."""
+    bits = bound.bit_length() + 1
+    return bits, [[_at(n, 1 << bits) for n in e._n] for e in (_tables().row, *elems)]
+
+
+def _height(nums) -> int:
+    """The largest 1-norm of the Z[lam] lists nums."""
+    return max(sum(map(abs, n)) for n in nums)
+
+
+def _image_mul(a, b, row) -> tuple[int, int, int, int]:
+    """Product in an integer image of the ring: convolve, fold with the row's image."""
+    vec = [0] * 7
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                vec[i + j] += x * y
+    for k in (6, 5, 4):
         c = vec[k]
         if c:
-            for j, r in enumerate(rows):
-                if r:
-                    vec[k - 4 + j] = _int_add(vec[k - 4 + j], _int_mul(c, r))
-    return vec[:4]
+            for j in range(4):
+                vec[k - 4 + j] += c * row[j]
+    return tuple(vec[:4])
 
 
 def ring_mul(a: RingElem, b: RingElem) -> RingElem:
-    vec: list[IntList] = [[] for _ in range(7)]
-    for i, x in enumerate(a._n):
-        if x:
-            for j, y in enumerate(b._n):
-                if y:
-                    vec[i + j] = _int_add(vec[i + j], _int_mul(x, y))
-    return _canon(_fold(vec), _int_mul(a._d, b._d))
+    """a * b in the image at lam = 2^bits, read back exactly by ``_digits``.
 
-
-def _int_sub(a: IntList, b: IntList) -> IntList:
-    return _int_add(a, [-v for v in b])
+    The bound: the 1-norm |n| of a Z[lam] list bounds its coefficients, and
+    |mn| <= |m||n|.  With A, B the largest |N_i| of a, b and R the sum of
+    |r_j| over the row, each convolved entry sums at most four products
+    (|.| <= 4AB), and each of three folds, entry k-4+j += c*r_j, grows the
+    largest |.| at most (1 + R)-fold (``growth`` = (1 + R)^3): 4AB(1 + R)^3.
+    """
+    bits, (row, x, y) = _images(4 * _height(a._n) * _height(b._n) * _tables().growth, a, b)
+    return _canon([_digits(v, bits) for v in _image_mul(x, y, row)], _int_mul(a._d, b._d))
 
 
 def _cramer(a: RingElem) -> tuple[list[IntList], IntList]:
@@ -189,29 +226,25 @@ def _cramer(a: RingElem) -> tuple[list[IntList], IntList]:
 
     Column k of the matrix is a*alpha^k = cols[k] / D.  The cofactors C_0k
     expand along the second row over the six 2x2 minors of the last two
-    rows, and det = sum r0[k] * C_0k, so no division occurs at all.
+    rows, and det = sum r0[k] * C_0k, so no division occurs at all.  In
+    ``ring_mul``'s terms column k has |.| <= A(1+R)^k: det (24 products of one
+    entry a column) and a cofactor (6 of three; A >= 1 if a != 0) <= 24A^4(1+R)^6.
     """
-    cols = [list(a._n)]
+    bits, (row, *cols) = _images(24 * _height(a._n) ** 4 * _tables().growth ** 2, a)
     for _ in range(3):
-        cols.append(_fold([[], *cols[-1]]))
-    r0, r1, r2, r3 = ([c[i] for c in cols] for i in range(4))
-    minor = {
-        (p, q): _int_sub(_int_mul(r2[p], r3[q]), _int_mul(r2[q], r3[p]))
-        for p in range(4)
-        for q in range(p + 1, 4)
-    }
-    cof = []
-    for k in range(4):
-        p, q, s = (j for j in range(4) if j != k)
-        d3 = _int_add(
-            _int_sub(_int_mul(r1[p], minor[q, s]), _int_mul(r1[q], minor[p, s])),
-            _int_mul(r1[s], minor[p, q]),
-        )
-        cof.append(d3 if k % 2 == 0 else [-v for v in d3])
-    det: IntList = []
-    for x, c in zip(r0, cof):
-        det = _int_add(det, _int_mul(x, c))
-    return cof, _trim(det)
+        c0, c1, c2, top = cols[-1]
+        cols.append([top * row[0], c0 + top * row[1], c1 + top * row[2], c2 + top * row[3]])
+    r0, r1, (p0, p1, p2, p3), (q0, q1, q2, q3) = zip(*cols)
+    m01, m02, m03 = p0 * q1 - p1 * q0, p0 * q2 - p2 * q0, p0 * q3 - p3 * q0
+    m12, m13, m23 = p1 * q2 - p2 * q1, p1 * q3 - p3 * q1, p2 * q3 - p3 * q2
+    cof = (
+        r1[1] * m23 - r1[2] * m13 + r1[3] * m12,
+        -r1[0] * m23 + r1[2] * m03 - r1[3] * m02,
+        r1[0] * m13 - r1[1] * m03 + r1[3] * m01,
+        -r1[0] * m12 + r1[1] * m02 - r1[2] * m01,
+    )
+    det = r0[0] * cof[0] + r0[1] * cof[1] + r0[2] * cof[2] + r0[3] * cof[3]
+    return [_digits(c, bits) for c in cof], _digits(det, bits)
 
 
 def ring_inv(a: RingElem) -> RingElem:
@@ -310,6 +343,7 @@ class _RowTables:
         if self.row._d != (1,):
             raise NotMonic("the rewrite row must lie in Z[lam]")
         self._unit_powers = {(which, 0): ONE for which in range(3)}
+        self.growth = (1 + sum(sum(map(abs, r)) for r in self.row._n)) ** 3
 
     @cached_property
     def conjugates(self) -> tuple[RingElem, RingElem, RingElem, RingElem]:

@@ -12,10 +12,10 @@ whose power-basis coordinates satisfy c2 = c3 = 0.  The height chain in
 (budget 10 certifies every lam; each coordinate is bounded by the budget,
 so the box enumeration loses nothing).  The scan runs in the image of
 the ring's integer numerators under lam -> LAM0, where a ring element is
-four integers.  For a fixed t, c2 and c3 of x * (alpha + 1)**t are two
-linear forms in the image of x, so each triple costs two dot products
-against the (r, s) part; a nonzero c2 or c3 in the image rules a triple
-out, and every survivor is confirmed in the exact ring of ``quartic``.
+four integers multiplied by ``quartic._image_mul``.  For a fixed t, c2 and
+c3 of x * (alpha + 1)**t are two linear forms in the image of x, so each
+triple costs two dot products against the (r, s) part; a nonzero c2 or c3
+rules a triple out, and every survivor is confirmed in the exact ring.
 ``verify_theorem`` reruns the whole pipeline at the certified budget and
 emits a machine-checkable certificate whose checks read PASS, FAIL, or
 ERROR (the check raised); it reads its series roots from the root table
@@ -76,10 +76,10 @@ def admissible_exponents(budget: int = bounds.EXPONENT_BUDGET) -> list[Triple]:
 # A ring element is N / D with N = N0 + N1*alpha + N2*alpha^2 + N3*alpha^3,
 # the N_i and D in Z[lam], and f is monic over Z[lam], so lam -> LAM0 is a
 # ring homomorphism from Z[lam][alpha]/(f) onto Z[alpha]/(f(LAM0)); the scan
-# multiplies the images of the numerators N, four integers each.  Soundness:
-# a unit's image is then the image of M times the unit, M in Z[lam] the
-# product of its factors' denominators, so a nonzero c2 or c3 there is the
-# value at LAM0 of M times the exact coordinate, which is therefore nonzero.
+# multiplies the images of the numerators N (``quartic._image_mul``).
+# Soundness: a unit's image is then the image of M times the unit, M in
+# Z[lam] the product of its factors' denominators, so a nonzero c2 or c3
+# there is the value at LAM0 of M times the exact coordinate, nonzero too.
 # A surviving triple is confirmed in the exact ring before it is reported.
 # The rewrite row and the unit inverses are read from ``quartic``'s tables,
 # which refuse a row outside Z[lam] (``NotMonic``).
@@ -97,32 +97,9 @@ LAM0 = 1234567
 Image = tuple[int, int, int, int]
 
 
-def _at_lam0(n) -> int:
-    """A Z[lam] coefficient list evaluated at LAM0 by Horner's rule."""
-    acc = 0
-    for c in reversed(n):
-        acc = acc * LAM0 + c
-    return acc
-
-
 def _image(a: quartic.RingElem) -> Image:
     """The image of a's numerators N0..N3 (of D * a)."""
-    return tuple(_at_lam0(n) for n in a._n)
-
-
-def _mul(a: Image, b: Image, row: Image) -> Image:
-    """Product in the image: convolve, then fold alpha^6..alpha^4 with ``row``."""
-    vec = [0] * 7
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                vec[i + j] += x * y
-    for k in (6, 5, 4):
-        c = vec[k]
-        if c:
-            for j in range(4):
-                vec[k - 4 + j] += c * row[j]
-    return tuple(vec[:4])
+    return tuple(quartic._at(n, LAM0) for n in a._n)
 
 
 def _power_tables(limit: int) -> tuple[Image, tuple[dict[int, Image], ...]]:
@@ -135,8 +112,8 @@ def _power_tables(limit: int) -> tuple[Image, tuple[dict[int, Image], ...]]:
         b, ib = _image(base), _image(inv_base)
         tab = {0: one}
         for e in range(1, limit + 1):
-            tab[e] = _mul(tab[e - 1], b, row)
-            tab[-e] = _mul(tab[-(e - 1)], ib, row)
+            tab[e] = quartic._image_mul(tab[e - 1], b, row)
+            tab[-e] = quartic._image_mul(tab[-(e - 1)], ib, row)
         out.append(tab)
     return row, tuple(out)
 
@@ -150,7 +127,7 @@ def _linear_forms(
     """Exponent -> the c2 and c3 forms of multiplying by that power of ``table``."""
     forms = {}
     for e, u in table.items():
-        cols = [_mul(basis, u, row) for basis in _BASIS]
+        cols = [quartic._image_mul(basis, u, row) for basis in _BASIS]
         forms[e] = (tuple(c[2] for c in cols), tuple(c[3] for c in cols))
     return forms
 
@@ -165,7 +142,7 @@ def _scan_chunk(payload: tuple[int, list[Triple]]) -> list[Triple]:
     for r, s, t in triples:
         x = pairs.get((r, s))
         if x is None:
-            x = pairs[r, s] = _mul(t0[r], t1[s], row)
+            x = pairs[r, s] = quartic._image_mul(t0[r], t1[s], row)
         x0, x1, x2, x3 = x
         (a0, a1, a2, a3), (b0, b1, b2, b3) = forms[t]
         if x0 * a0 + x1 * a1 + x2 * a2 + x3 * a3:

@@ -6,13 +6,15 @@ products fold alpha^6..alpha^4 with ``quartic.REWRITE_ROW`` (read at call
 time), and an inverse solves the multiplication-by-a system with Cramer's
 rule: each row's denominators are cleared with ``_int_clear`` and the
 determinants of the integer rows come from ``bareiss_det``, not from the
-cofactor expansion of ``quartic._cramer``.  Elements are plain 4-tuples of
-``RatFunc``; compare them with ``RingElem.coeffs``.
+cofactor expansion of ``quartic._cramer``.  A norm is the product of the
+four conjugates (``norm``, for the true rewrite row) or the determinant of
+the multiplication matrix (``det_norm``, for any row).  Elements are plain
+4-tuples of ``RatFunc``; compare them with ``RingElem.coeffs``.
 """
 
 from thueff import quartic
 from thueff.errors import SingularSystem
-from thueff.polynomials import RatFunc, _int_clear, bareiss_det
+from thueff.polynomials import RatFunc, _int_clear, _int_mul, bareiss_det
 
 RF_ZERO = RatFunc(0)
 RF_ONE = RatFunc(1)
@@ -54,14 +56,19 @@ def _times_alpha(vec):
     return _reduce([RF_ZERO, *vec])
 
 
-def inv(a):
+def _matrix(a):
+    """Rows of the matrix of multiplication by a: column k is a * alpha^k."""
     col = tuple(a)
     matrix = [[], [], [], []]
     for _ in range(4):
         for i in range(4):
             matrix[i].append(col[i])
         col = _times_alpha(col)
-    rows = [_int_clear([(c._n, c._d) for c in (*row, r)])[0] for row, r in zip(matrix, ONE)]
+    return matrix
+
+
+def inv(a):
+    rows = [_int_clear([(c._n, c._d) for c in (*row, r)])[0] for row, r in zip(_matrix(a), ONE)]
     det = bareiss_det([row[:4] for row in rows])
     if not det:
         raise SingularSystem("singular 4x4 system in ring inversion")
@@ -69,6 +76,15 @@ def inv(a):
         RatFunc._of(bareiss_det([row[:j] + [row[4]] + row[j + 1 : 4] for row in rows]), det)
         for j in range(4)
     )
+
+
+def det_norm(a):
+    """N(a) as the determinant of multiplication by a: the matrix over one
+    denominator D, its determinant from ``bareiss_det``, over D^4.  Unlike
+    ``norm`` it needs no conjugates, so it holds under any rewrite row."""
+    nums, den = _int_clear([(c._n, c._d) for row in _matrix(a) for c in row])
+    d2 = _int_mul(den, den)
+    return RatFunc._of(bareiss_det([nums[i : i + 4] for i in (0, 4, 8, 12)]), _int_mul(d2, d2))
 
 
 def conjugates():

@@ -13,6 +13,7 @@ point of the package takes the same outside values (int, ``Fraction``,
 ``Poly``, ``RatFunc``) and refuses the same others with TypeError.
 """
 
+import operator
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -544,6 +545,9 @@ SERIES = LaurentSeries(0, [1, 2], 2)
 
 INTAKE_ENTRY_POINTS = {
     "Poly": lambda x: Poly([x]),
+    "Poly-add": lambda x: LAM + x,
+    "Poly-sub": lambda x: LAM - x,
+    "Poly-mul": lambda x: LAM * x,
     "RatFunc": lambda x: RatFunc(LAM, x),
     "RatFunc-rsub": lambda x: x - RatFunc(LAM),
     "RatFunc-rtruediv": lambda x: x / RatFunc(LAM),
@@ -567,6 +571,15 @@ def test_intake_refuses_inexact_and_text_values(entry, value):
         INTAKE_ENTRY_POINTS[entry](INTAKE_REFUSES[value])
 
 
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_poly_operator_with_a_ratfunc_operand_promotes(op):
+    # Poly's operator steps aside (NotImplemented), so RatFunc's reflected one runs.
+    for other in (RatFunc(1), RatFunc(1, LAM + 2)):
+        got = op(LAM, other)
+        assert type(got) is RatFunc and got == op(RatFunc(LAM), other)
+    assert op(LAM, RatFunc(1)) == op(LAM, 1)
+
+
 def test_poly_refuses_a_string_of_digits():
     # a str is an iterable of one-character strings, not of coefficients
     with pytest.raises(TypeError):
@@ -580,6 +593,8 @@ def test_constant_hash_agrees_with_equality():
     assert {RatFunc(-3, 4): "b"}.get(Fraction(-3, 4)) == "b"
     for c in (0, 5, Fraction(-7, 3)):
         assert hash(Poly([c])) == hash(RatFunc(c)) == hash(Fraction(c))
-    # a non-constant keeps the hash of its representation
-    assert hash(LAM + 1) == hash(((1, 1), 1))
+    # a non-constant Poly hashes like its RatFunc, the hash of that representation
+    assert hash(LAM + 1) == hash(RatFunc(LAM + 1)) == hash(((1, 1), (1,)))
+    assert len({LAM, RatFunc(LAM)}) == 1
+    assert {RatFunc(LAM + 1, 2): "c"}.get((LAM + 1) * Fraction(1, 2)) == "c"
     assert hash(RatFunc(1, LAM)) == hash(((1,), (0, 1)))

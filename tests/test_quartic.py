@@ -400,6 +400,18 @@ def test_a_ratfunc_is_held_in_the_form_of_one_ring_coordinate():
     assert half.num == Poly((Fraction(1, 2),)) and half.den == P_ONE
 
 
+def test_an_element_of_q_lam_equals_and_hashes_like_its_coefficient():
+    for c in (0, 1, -3, Fraction(-3, 4), Poly((Fraction(1, 2),)), LAM + 1, RatFunc(1, LAM + 2)):
+        e = RingElem(c)
+        for form in (c, RatFunc(c)):
+            assert e == form and form == e and not (e != form)
+            assert hash(e) == hash(form) and len({e, form}) == 1
+    assert ONE == 1 and 1 == ONE and RingElem(1) == RatFunc(1) == ONE
+    # an element off the base field, or another scalar, is unequal
+    assert ALPHA != 0 and ALPHA + 1 != 1 and ONE != 2 and ONE != RatFunc(LAM)
+    assert ONE != "1" and ONE != 1.0
+
+
 def test_swapped_rewrite_row_is_never_served_stale(monkeypatch):
     # Every table derived from the row is cached under the row's value; a
     # swapped REWRITE_ROW must replace them at once, with no clear_caches().
@@ -433,6 +445,83 @@ def test_rewrite_row_outside_z_lam_is_refused(monkeypatch):
             conjugates()
     monkeypatch.undo()
     assert ring_mul(ALPHA, ring_pow(ALPHA, 3)) == RingElem(*REWRITE_ROW)
+
+
+# -- the integer image of the kernels ------------------------------------------------
+
+
+def _read_back(n, bits):
+    return quartic._digits(quartic._at(n, 1 << bits), bits)
+
+
+def _trimmed(n):
+    n = list(n)
+    while n and not n[-1]:
+        n.pop()
+    return n
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 8, 30, 64, 257])
+def test_image_digits_round_trip_at_the_extremes(bits):
+    # Balanced base-2^bits digits hold [-2^(bits-1), 2^(bits-1)): the largest
+    # sizes of either sign, mixed signs, inner and trailing zeros read back.
+    top, low = (1 << (bits - 1)) - 1, -(1 << (bits - 1))
+    for n in ([], [0], [top], [-top], [low], [top, -top, 0, top], [-top, top, top, -top],
+              [0, 0, top, 0], [low, top, low], [top] * 13, [-top] * 13):
+        assert _read_back(n, bits) == _trimmed(n), n
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 255, 256, 2**64 - 1, 2**64, 10**40])
+def test_image_bits_hold_every_coefficient_within_the_bound(bound):
+    # The kernels size their image from a proven coefficient bound, so every
+    # coefficient of size up to the bound must read back.
+    bits, _ = quartic._images(bound)
+    for n in ([bound], [-bound], [bound, -bound, 0, bound], [-bound] * 3 + [bound] * 3):
+        assert _read_back(n, bits) == _trimmed(n), n
+
+
+#: A rewrite row in Z[lam] with one 10^20-sized entry at alpha^3: folding
+#: then grows a product with all-positive coefficients almost as fast as the
+#: bound in ``ring_mul`` allows.
+_ALPHA3_ROW = (RatFunc(1), RatFunc(0), RatFunc(0), RatFunc(10**20))
+#: A rewrite row in Z[lam] with 10^20-sized entries of both signs.
+_MIXED_ROW = (RatFunc(7 - 10**20), RatFunc(10**20 * LAM), RatFunc(3), RatFunc(10**20 * LAM + 1))
+
+
+def _large_elements():
+    """Numerators of lam-degree 12 with 256-bit coefficients: one with every
+    coefficient positive (the closest to the kernels' bounds), and seeded
+    random ones, one of them over a non-constant denominator."""
+    rng = random.Random(20261019)
+    top = 2**256 - 1
+
+    def big():
+        return Poly([rng.randint(-top, top) for _ in range(12)] + [top])
+
+    positive = Poly([top] + [0] * 11 + [top])
+    return [
+        RingElem(positive, positive, positive, positive),
+        RingElem(big(), 1, 0, 0),
+        RingElem(big(), big(), big(), big()) * RatFunc(1, LAM + 3),
+    ]
+
+
+@pytest.mark.parametrize("row", [REWRITE_ROW, _ALPHA3_ROW, _MIXED_ROW],
+                         ids=["true-row", "alpha3-row", "mixed-row"])
+def test_image_kernels_match_the_oracle_on_large_numerators(monkeypatch, row):
+    monkeypatch.setattr(quartic, "REWRITE_ROW", row)
+    elems = _large_elements()
+    for a in elems:
+        for b in elems:
+            assert ring_mul(a, b).coeffs == ring_oracle.mul(a.coeffs, b.coeffs)
+        assert norm(a) == ring_oracle.det_norm(a.coeffs)
+        if row is REWRITE_ROW:
+            assert norm(a) == ring_oracle.norm(a.coeffs)
+    # An inverse's canonical form divides out a gcd over Q[lam] of the
+    # determinant and the cofactors, which takes seconds on the random
+    # four-slot element, in the kernel and the oracle alike.
+    for a in elems[:2]:
+        assert ring_inv(a).coeffs == ring_oracle.inv(a.coeffs)
 
 
 # -- randomized batteries at smoke size ------------------------------------------------

@@ -97,7 +97,7 @@ def test_residue_image_matches_scan_tables():
     for r in range(-2, 3):
         for s in range(-2, 3):
             for t in range(-2, 3):
-                product = search._mul(search._mul(t0[r], t1[s], row), t2[t], row)
+                product = quartic._image_mul(quartic._image_mul(t0[r], t1[s], row), t2[t], row)
                 image = search._image(unit_from_exponents(r, s, t))
                 assert any(product) and any(image)
                 assert all(
@@ -110,7 +110,7 @@ def _full_product_route(budget):
     """Triple -> its unit's image as two full products, ``(r, s)`` part times ``t`` part."""
     row, (t0, t1, t2) = search._power_tables(budget)
     return {
-        (r, s, t): search._mul(search._mul(t0[r], t1[s], row), t2[t], row)
+        (r, s, t): quartic._image_mul(quartic._image_mul(t0[r], t1[s], row), t2[t], row)
         for r, s, t in admissible_exponents(budget)
     }
 
@@ -120,7 +120,7 @@ def test_scan_linear_forms_match_the_full_product_on_the_box():
     row, (t0, t1, t2) = search._power_tables(EXPONENT_BUDGET)
     forms = search._linear_forms(row, t2)
     for (r, s, t), image in route.items():
-        x = search._mul(t0[r], t1[s], row)
+        x = quartic._image_mul(t0[r], t1[s], row)
         c2, c3 = (sum(a * b for a, b in zip(x, form)) for form in forms[t])
         assert (c2, c3) == image[2:], (r, s, t)
     # The scan keeps exactly the triples whose full product has c2 = c3 = 0.

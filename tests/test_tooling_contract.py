@@ -80,6 +80,35 @@ def test_norm_forms_its_value_through_ratfunc_mul(monkeypatch):
     assert len(calls) >= 1
 
 
+def test_image_kernel_helpers_are_private():
+    # The tracer spans every public function of the package's modules.  The
+    # integer-image helpers behind ``ring_mul``, ``norm``, ``ring_inv`` and
+    # the scan run thousands of times per op: as public names they would add
+    # spans, and per-layer self times, that the benchmark has never counted.
+    for name in ("_at", "_digits", "_images", "_height", "_image_mul"):
+        assert callable(getattr(quartic, name)), name
+    expect = {
+        quartic: {
+            "clear_caches", "conjugates", "elem_from_xy", "f_lambda_eval", "galois",
+            "min_poly_value", "norm", "ring_inv", "ring_mul", "ring_pow",
+            "unit_from_exponents",
+        },
+        search: {
+            "admissible_exponents", "budget_cost", "is_admissible",
+            "search_trivial_units", "solution_classes", "verify_theorem",
+        },
+    }
+    for module, names in expect.items():
+        public = {
+            name
+            for name, obj in vars(module).items()
+            if not name.startswith("_")
+            and inspect.isfunction(obj)
+            and obj.__module__ == module.__name__
+        }
+        assert public == names, module.__name__
+
+
 def test_verify_takes_one_bareiss_determinant(monkeypatch):
     # The tracer wraps public module functions only, and the per-layer
     # metric ``polynomials.bareiss_det.calls`` reads the calls of this name:
