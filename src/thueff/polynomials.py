@@ -33,7 +33,11 @@ lists (``_int_add``, ``_int_mul``, ``_int_gcd``, ``_int_exquo``), and so
 does ``bareiss_det``, the fraction-free determinant of a matrix over
 Z[lam] behind ``bounds.resultant``.
 ``_int_mul_low``, behind ``Poly.mul_low``, is the short product that
-series windows use: only the terms below a given power.
+series windows use: only the terms below a given power.  The gcd runs in
+an integer image: both lists evaluated at lam = 2^bits (``_at``), one
+integer gcd, its balanced base-2^bits digits read back (``_digits``) and
+the candidate accepted only when it divides both lists exactly; the
+quartic ring's products, inverses and norms use the same image.
 """
 
 from __future__ import annotations
@@ -305,40 +309,69 @@ def _int_primitive(n: Sequence[int]) -> list[int]:
     return [v // g for v in n]
 
 
-def _iprem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of integer coefficient lists (deg a >= deg b)."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= db:
-        lr = r[-1]
-        r = [lb * c for c in r]
-        shift = len(r) - 1 - db
-        for i in range(db + 1):
-            r[shift + i] -= lr * b[i]
-        while r and not r[-1]:
-            r.pop()
-        if not r:
-            break
-    return r
+def _at(n: Sequence[int], x: int) -> int:
+    """The Z[lam] coefficient list n evaluated at lam = x, by Horner's rule."""
+    acc = 0
+    for c in reversed(n):
+        acc = acc * x + c
+    return acc
+
+
+def _digits(v: int, bits: int) -> list[int]:
+    """The Z[lam] list worth v at lam = 2^bits: v's balanced base-2^bits digits.
+
+    Every list without trailing zeros whose coefficients lie in
+    [-2^(bits-1), 2^(bits-1)) is the digit list of its own value at 2^bits,
+    so the reading is exact there.
+    """
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    out = []
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        out.append(d)
+        v = (v - d) >> bits
+    return out
 
 
 def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The gcd over Q[x] of two nonzero integer coefficient lists (no
-    trailing zeros), as a primitive integer list with positive lead."""
+    trailing zeros), as a primitive integer list with positive lead.
+
+    The heuristic gcd GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7
+    (1989)), here exact: with x, y the primitive parts of a, b and
+    xi = 2^bits >= 2 min(|x|_inf, |y|_inf) + 2, the candidate is the
+    primitive part of the balanced base-xi digits (``_digits``) of
+    h = igcd(x(xi), y(xi)).  A candidate that divides both x and y exactly
+    (``_int_exquo``) is their gcd (Geddes, Czapor & Labahn, *Algorithms
+    for Computer Algebra*, Thm 7.7); otherwise bits doubles and the next
+    xi is tried.
+
+    That ends: let g be the gcd, x = g u and y = g v.  u and v are coprime,
+    so s u + t v = r, their resultant, for some s, t in Z[x] and a nonzero
+    integer r; e = igcd(u(xi), v(xi)) divides r at every xi, and
+    h = e |g(xi)|.  Once xi > 2 |r| |g|_inf, every coefficient of +-e g
+    lies inside the balanced digit range, so h reads back as +-e g, whose
+    primitive part g passes.  There is no remainder sequence to fall back on.
+    """
     if len(a) == 1 or len(b) == 1:
         return [1]
     x = _int_primitive(a)
     y = _int_primitive(b)
-    if len(x) < len(y):
-        x, y = y, x
+    bits = (2 * min(max(map(abs, x)), max(map(abs, y))) + 2).bit_length()
     while True:
-        if len(y) == 1:
+        xi = 1 << bits
+        g = _digits(gcd_int(_at(x, xi), _at(y, xi)), bits)
+        if len(g) == 1:
             return [1]
-        r = _iprem(x, y)
-        if not r:
-            return y
-        x, y = y, _int_primitive(r)
+        g = _int_primitive(g)
+        try:
+            _int_exquo(x, g)
+            _int_exquo(y, g)
+            return g
+        except ValueError:
+            bits *= 2
 
 
 def _int_pow(a: Sequence[int], k: int) -> list[int]:
@@ -413,9 +446,11 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor.
 
     Both arguments zero is undefined (UndefinedGcd).  A nonzero constant
-    anywhere collapses the answer to 1 immediately.  The Euclidean chain
-    runs as a primitive pseudo-remainder sequence over Z, which avoids
-    the rational-coefficient blowup of naive monic division.
+    anywhere collapses the answer to 1 immediately.  Otherwise the gcd of
+    the integer numerators comes from ``_int_gcd``, an integer gcd of
+    their values at lam = 2^bits read back as a polynomial and checked by
+    exact division, so no remainder sequence and no rational coefficient
+    is ever formed.
     """
     if not a and not b:
         raise UndefinedGcd("gcd(0, 0) is undefined")

@@ -56,6 +56,8 @@ from .polynomials import (
     Poly,
     RatFunc,
     _as_poly,
+    _at,
+    _digits,
     _fraction,
     _int_add,
     _int_canon,
@@ -159,27 +161,6 @@ def _canon(nums: list[IntList], den: IntList) -> RingElem:
 ZERO = RingElem()
 ONE = RingElem(1)
 ALPHA = RingElem(0, 1)
-
-
-def _at(n, x: int) -> int:
-    """The Z[lam] coefficient list n evaluated at lam = x, by Horner's rule."""
-    acc = 0
-    for c in reversed(n):
-        acc = acc * x + c
-    return acc
-
-
-def _digits(v: int, bits: int) -> IntList:
-    """The Z[lam] list worth v at lam = 2^bits: v's balanced base-2^bits digits."""
-    mask, half = (1 << bits) - 1, 1 << (bits - 1)
-    out = []
-    while v:
-        d = v & mask
-        if d >= half:
-            d -= mask + 1
-        out.append(d)
-        v = (v - d) >> bits
-    return out
 
 
 def _images(bound: int, *elems: RingElem) -> tuple[int, list[list[int]]]:

@@ -12,8 +12,11 @@ pipeline: ``_root_powers(order)`` holds them with their squares and
 cubes, cached per order, and the embeddings, the Vandermonde check and
 ``search.verify_theorem`` all read that one table (and form root
 difference products with ``root_difference_product``).  An embedding
-reads the ring's integer numerators N0..N3 against that table and divides
-by the denominator D once: no ``RatFunc`` is formed on the way.
+reads the ring's integer numerators N0..N3 against that table on integer
+lists -- each reversed N_j times the window of S^j as one short product,
+the products aligned by lead over one common denominator -- builds one
+series from the sum and divides by the denominator D once: no ``RatFunc``
+and no intermediate series is formed on the way.
 
 Substituting a truncated root series can only vanish to finite order for
 a nonzero element, so leads are resolved by adaptive doubling of the
@@ -24,13 +27,14 @@ Vandermonde check share that one loop.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import add
 from typing import NamedTuple
 
 from .errors import PrecisionUnderflow, ZeroElement
-from .laurent import DEFAULT_ORDER, LaurentSeries, poly_series, quartic_roots
-from .polynomials import Poly
+from .laurent import DEFAULT_ORDER, LaurentSeries, _series, poly_series, quartic_roots
+from .polynomials import Poly, _int_mul_low
 from .quartic import RingElem
 
 #: Hard ceiling for the adaptive precision doubling in ``_resolve``.
@@ -71,19 +75,40 @@ def _int_series(n: tuple[int, ...], order: int) -> LaurentSeries:
 
 def embed_series(a: RingElem, i: int, order: int) -> LaurentSeries:
     """Image of ``a`` = sum N_j alpha^j / D under alpha -> the i-th root S:
-    sum N_j S^j, scaled by 1/D, or times one series inverse of a non-constant D."""
+    sum N_j S^j, scaled by 1/D, or times one series inverse of a non-constant D.
+
+    The sum is the series each N_j gives to ``order + 8`` (lead -deg N_j,
+    window N_j reversed) times S^j, added up, to the least order of the
+    terms: it is formed at once on integer lists, each reversed N_j times
+    the window of S^j as a short product, aligned by lead over one common
+    denominator.  Its known coefficients, order and so its canonical
+    (lead, window, order) are those of the ``LaurentSeries`` products and
+    sums that spell the same formula out.
+    """
     if i not in (1, 2, 3, 4):
         raise ValueError(f"embedding index must be 1..4, got {i}")
     powers = _root_powers(order)[i - 1]
     width = order + 8
-    acc = _int_series(a._n[0], width)
-    for n, p in zip(a._n[1:], powers[1:]):
+    top = width
+    n0 = a._n[0]
+    terms = [(1 - len(n0), n0[::-1], (1,), 1)] if n0 else []
+    for n, s in zip(a._n[1:], powers[1:]):
         if n:
-            acc = acc + _int_series(n, width) * p
+            top = min(top, s._order + 1 - len(n), s._lead + width)
+            terms.append((s._lead + 1 - len(n), n[::-1], s._w._n, s._w._d))
+    low = min([top] + [t[0] for t in terms])
+    den = lcm(*(t[3] for t in terms))
+    acc = [0] * (top - low)
+    for lead, n, w, d in terms:
+        part = _int_mul_low(n, w, top - lead)
+        if d != den:
+            part = [v * (den // d) for v in part]
+        k = lead - low
+        acc[k:k + len(part)] = map(add, acc[k:k + len(part)], part)
     d = a._d
     if len(d) > 1:
-        return acc * _int_series(d, width).inv()
-    return acc if d == (1,) else acc.scale(Fraction(1, d[0]))
+        return _series(low, Poly._of(acc, den), top) * _int_series(d, width).inv()
+    return _series(low, Poly._of(acc, den * d[0]), top)
 
 
 def _resolve(images_at, what: str) -> list[LaurentSeries]:

@@ -1,7 +1,7 @@
 """Exact polynomial and rational-function arithmetic over Q(lam).
 
 Oracles come first: a classic monic Euclidean gcd over Fraction
-coefficients (independent of the primitive-sequence gcd in the package),
+coefficients (independent of the integer-image gcd in the package),
 a permutation-expansion determinant, and plain ``Fraction``-tuple
 polynomial arithmetic (a cross-check of ``Poly``'s integer numerators
 over one denominator and of the exact quotient ``_int_exquo`` on integer
@@ -24,6 +24,7 @@ import pytest
 
 import conftest
 import property_suites
+from thueff import polynomials
 from thueff.bounds import discriminant, resultant
 from thueff.errors import UndefinedGcd, ZeroDivisor
 from thueff.laurent import LaurentSeries
@@ -35,7 +36,10 @@ from thueff.polynomials import (
     ZERO,
     Poly,
     RatFunc,
+    _at,
+    _int_canon,
     _int_exquo,
+    _int_gcd,
     _int_mul,
     _int_mul_low,
     _int_primitive,
@@ -374,6 +378,76 @@ def test_gcd_matches_euclid_reference_random():
         # the gcd divides both inputs exactly (the tuple oracle's remainder)
         for p in (a, b):
             assert ref_divmod(p.coeffs, got.coeffs)[1] == ()
+
+
+def _wide_poly(rng, degree, bits):
+    """A degree-``degree`` integer polynomial with coefficients of about
+    ``bits`` bits, lead included (often not monic)."""
+    top = 2**bits
+    coeffs = [rng.randint(-top, top) for _ in range(degree)]
+    return Poly(coeffs + [rng.choice((1, -1)) * rng.randint(1, top)])
+
+
+def test_gcd_of_wide_polynomials_matches_euclid_reference():
+    # Degree >= 10, 200+-bit coefficients, a planted common factor of
+    # degree 0..4 that is mostly not monic, and large integer contents.
+    rng = random.Random(20261022)
+    for trial in range(8):
+        g = _wide_poly(rng, rng.randint(0, 4), rng.choice((8, 200, 260)))
+        if trial % 4 == 0:
+            g = g.monic()
+        u = _wide_poly(rng, rng.randint(10, 11), 210)
+        v = _wide_poly(rng, rng.randint(10, 11), 230)
+        cu, cv = (rng.randint(2, 2**120), rng.randint(2, 2**120)) if trial % 2 else (1, 1)
+        a, b = g * u * cu, g * v * cv
+        assert a.degree >= 10 and b.degree >= 10
+        got = poly_gcd(a, b)
+        assert got == euclid_gcd_reference(a, b)
+        # random u, v are coprime, so the gcd is the planted factor
+        assert got == g.monic()
+        assert _int_gcd(a._n, b._n) == _int_primitive(g._n)
+
+
+def test_gcd_retries_after_an_unlucky_first_point(monkeypatch):
+    # a = (3 lam - 5)(3 lam^2 + 7), b = (3 lam - 5)(3 lam^3 - 9 lam^2 - 7 lam + 8),
+    # from a seeded search over products g*u, g*v of small random
+    # polynomials: at the first point 2^7 the digits of igcd(a(2^7), b(2^7))
+    # are no common divisor, so the gcd is found at a second point.
+    a, b = [-35, 21, -15, 9], [-40, 59, 24, -42, 9]
+    readings = []
+    digits = polynomials._digits
+
+    def recording(v, bits):
+        readings.append(bits)
+        return digits(v, bits)
+
+    monkeypatch.setattr(polynomials, "_digits", recording)
+    assert _int_gcd(a, b) == [-5, 3]
+    assert len(readings) > 1 and readings[0] == 7
+    first = _int_primitive(digits(gcd(_at(a, 2**7), _at(b, 2**7)), 7))
+    with pytest.raises(ValueError):
+        _int_exquo(a, first)
+        _int_exquo(b, first)
+    assert poly_gcd(Poly(a), Poly(b)) == euclid_gcd_reference(Poly(a), Poly(b))
+
+
+def test_canon_divides_out_only_the_factor_every_entry_shares():
+    # D = 6 (lam + 1)(lam - 2)(lam^2 + 3): lam - 2 divides N1 only and
+    # lam^2 + 3 divides N0 only, lam + 1 divides every nonzero entry.
+    p, q, r = Poly((1, 1)), Poly((-2, 1)), Poly((3, 0, 1))
+    den = p * q * r * 6
+    nums = [p * r * Poly((5, -7)), p * q * 4 * LAM, p * Poly((10, 0, -3)), ZERO]
+    (n0, n1, n2, n3), d = _int_canon([list(n._n) for n in nums], list(den._n))
+    shared = den
+    for n in nums:
+        if n:
+            shared = euclid_gcd_reference(shared, n)
+    assert shared == p
+    assert Poly(d) == q * r * 6 and n3 == ()
+    for got, n in zip((n0, n1, n2, n3), nums):
+        # the same value N_i / D, cross-multiplied
+        assert Poly(got) * den == n * Poly(d)
+    assert gcd(*d, *n0, *n1, *n2) == 1 and d[-1] > 0
 
 
 # -- rational-function field arithmetic ----------------------------------------

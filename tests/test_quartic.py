@@ -517,10 +517,6 @@ def test_image_kernels_match_the_oracle_on_large_numerators(monkeypatch, row):
         assert norm(a) == ring_oracle.det_norm(a.coeffs)
         if row is REWRITE_ROW:
             assert norm(a) == ring_oracle.norm(a.coeffs)
-    # An inverse's canonical form divides out a gcd over Q[lam] of the
-    # determinant and the cofactors, which takes seconds on the random
-    # four-slot element, in the kernel and the oracle alike.
-    for a in elems[:2]:
         assert ring_inv(a).coeffs == ring_oracle.inv(a.coeffs)
 
 

@@ -82,12 +82,16 @@ def test_norm_forms_its_value_through_ratfunc_mul(monkeypatch):
 
 def test_image_kernel_helpers_are_private():
     # The tracer spans every public function of the package's modules.  The
-    # integer-image helpers behind ``ring_mul``, ``norm``, ``ring_inv`` and
-    # the scan run thousands of times per op: as public names they would add
-    # spans, and per-layer self times, that the benchmark has never counted.
+    # integer-image helpers behind ``ring_mul``, ``norm``, ``ring_inv``, the
+    # scan, the canonical form's gcd and the embeddings run thousands of
+    # times per op: as public names they would add spans, and per-layer
+    # self times, that the benchmark has never counted.
     for name in ("_at", "_digits", "_images", "_height", "_image_mul"):
         assert callable(getattr(quartic, name)), name
+    for name in ("_at", "_digits", "_int_gcd", "_int_exquo", "_int_mul_low"):
+        assert callable(getattr(polynomials, name)), name
     expect = {
+        polynomials: {"bareiss_det", "poly_gcd"},
         quartic: {
             "clear_caches", "conjugates", "elem_from_xy", "f_lambda_eval", "galois",
             "min_poly_value", "norm", "ring_inv", "ring_mul", "ring_pow",
@@ -96,6 +100,10 @@ def test_image_kernel_helpers_are_private():
         search: {
             "admissible_exponents", "budget_cost", "is_admissible",
             "search_trivial_units", "solution_classes", "verify_theorem",
+        },
+        valuations: {
+            "clear_caches", "embed_series", "height_infinity", "root_difference_product",
+            "unit_valuation_identity", "valuation_vector", "vandermonde_report",
         },
     }
     for module, names in expect.items():

@@ -17,7 +17,7 @@ import property_suites
 from thueff import quartic, valuations
 from thueff.bounds import f_lambda_discriminant
 from thueff.errors import PrecisionUnderflow, ZeroElement
-from thueff.laurent import expand_ratfunc, quartic_roots
+from thueff.laurent import expand_ratfunc, poly_series, quartic_roots
 from thueff.polynomials import LAM, Poly, RatFunc
 from thueff.valuations import (
     ValuationVector,
@@ -190,6 +190,90 @@ def test_embedding_matches_the_ratfunc_route():
                 assert got.truncate(common) == want.truncate(common), (a, i, order)
                 # a lead the old route resolves, this one resolves too
                 assert got.resolved or not want.resolved
+
+
+def _series_route(a, i, order):
+    """The embedding as a composition of ``LaurentSeries`` operations: each
+    N_j an exact series to order + 8, times S^j from the root table, the
+    terms added in turn, then scaled by 1/D or times the series inverse of
+    a non-constant D."""
+    powers = valuations._root_powers(order)[i - 1]
+    width = order + 8
+
+    def series(n):
+        return poly_series(Poly(n), width)
+
+    acc = series(a._n[0])
+    for n, p in zip(a._n[1:], powers[1:]):
+        if n:
+            acc = acc + series(n) * p
+    d = a._d
+    if len(d) > 1:
+        return acc * series(d).inv()
+    return acc if d == (1,) else acc.scale(Fraction(1, d[0]))
+
+
+def _siegel_betas():
+    """The three betas x - alpha*y of the verifier's Siegel check, with
+    the conjugates b1..b3 it embeds."""
+    out = []
+    for x, y in ((3, 1), (LAM, 2), (1 + LAM, LAM**2)):
+        beta = quartic.elem_from_xy(x, y)
+        out += [quartic.galois(beta, i) for i in (1, 2, 3)]
+    return out
+
+
+def _embedding_elements():
+    """Seeded elements with zero coordinates, integer and non-constant
+    denominators, the near-root element and the Siegel betas."""
+    rng = random.Random(20261021)
+    elems = []
+    while len(elems) < 18:
+        coeffs = list(conftest.rand_elem(rng, max_deg=3, lo=-40, hi=40,
+                                         rational_every=3).coeffs)
+        for j in rng.sample(range(4), rng.randint(1, 2)):
+            coeffs[j] = 0  # zero coordinates
+        if any(coeffs):
+            elems.append(quartic.RingElem(*coeffs))
+    elems += [
+        quartic.RingElem(0, Fraction(3, 7), 0, LAM**5 - 2),  # integer D != 1, N0 = 0
+        quartic.RingElem(Fraction(1, 12), 0, 0, 0),
+        quartic.RingElem(RatFunc(1, LAM + 1), 0, RatFunc(LAM, (LAM - 2) ** 2), 3),
+        quartic.RingElem(0, 0, RatFunc(LAM**9 + 4, 3 * LAM**2 - 5)),
+        _near_root_elem(),
+        *_siegel_betas(),
+    ]
+    assert any(len(a._d) == 1 and a._d != (1,) for a in elems)
+    assert sum(len(a._d) > 1 for a in elems) >= 3
+    assert sum(not all(a._n) for a in elems) >= 12
+    return elems
+
+
+def _assert_same_embeddings(elems, orders):
+    for a in elems:
+        for order in orders:
+            for i in (1, 2, 3, 4):
+                got, want = embed_series(a, i, order), _series_route(a, i, order)
+                assert (got.lead, got._w, got.order) == (want.lead, want._w, want.order), (
+                    a, i, order)
+
+
+def test_embedding_is_the_series_composition_exactly():
+    _assert_same_embeddings(_embedding_elements(), (8, 16, 132))
+
+
+def test_embedding_is_the_series_composition_over_rational_windows(monkeypatch):
+    # The true root windows are integral; a table whose S, S^2 and S^3
+    # carry the denominators 2, 3 and 4 takes the common-denominator path.
+    # Its windows are known far past order + 8, so at order 8 a product's
+    # order is bounded by its lead plus that width, not by the window.
+    table = tuple(
+        (None, *(p.scale(Fraction(1, k)) for p, k in zip(row[1:], (2, 3, 4))))
+        for row in valuations._root_powers(48)
+    )
+    assert all(p._w._d > 1 for row in table for p in row[1:])
+    monkeypatch.setattr(valuations, "_root_powers", lambda order: table)
+    _assert_same_embeddings(_embedding_elements(), (8,))
 
 
 # -- randomized batteries at smoke size --------------------------------------------------
