@@ -3,8 +3,9 @@
 Subcommands: roots, bounds, search, solve, verify.  All output is
 deterministic; JSON is rendered with sorted keys so a parse/serialize
 round trip is byte-identical.  Exit codes: 0 success, 1 failed
-reproduction, 2 bad input (a usage error or an unwritable ``--out``),
-reported on one ``thueff: error: ...`` line.
+reproduction, 2 bad input (a usage error, such as an ``--order`` above
+the precision cap, or an unwritable ``--out``), reported on one
+``thueff: error: ...`` line.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 
 from . import bounds, laurent, search
 from .errors import ReproductionFailure, ThueffError
+from .valuations import PRECISION_CAP
 
 
 def render_json(payload) -> str:
@@ -130,6 +132,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _order(text: str) -> int:
+    """A positive series order no larger than ``valuations.PRECISION_CAP``."""
+    value = _positive_int(text)
+    if value > PRECISION_CAP:
+        raise argparse.ArgumentTypeError(
+            f"expected an order of at most {PRECISION_CAP}, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="thueff",
@@ -142,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, order=False, a=False, jobs=False):
         if order:
-            p.add_argument("--order", type=_positive_int, default=laurent.DEFAULT_ORDER,
-                           help="series truncation order")
+            p.add_argument("--order", type=_order, default=laurent.DEFAULT_ORDER,
+                           help=f"series truncation order (1 to {PRECISION_CAP})")
         if a:
             p.add_argument("--a", type=_positive_int, default=1,
                            help="degree of λ in the ground variable")

@@ -12,8 +12,10 @@ exponents below ``order``: zero below ``lead``, the coefficients of
 ("zero to order") has w = 0 and ``lead == order``.  The arithmetic runs
 on ``Poly``'s integer kernel; ``coeffs`` builds the window as
 ``Fraction``s on demand.  Products, and both products of each Newton
-step of ``inv``, are short products (``Poly.mul_low``): they form only
-the terms below the order they keep, never the full product.
+step of ``inv``, are short products (``Poly.mul_low``) that keep only the
+terms below the order: a schoolbook loop forms none above it, and two
+long dense windows go through one integer product whose digits from that
+order on are never read.
 Truncation orders are tracked pessimistically through arithmetic; in
 particular a product of windows of orders m, n with leads p, q is only
 known to order min(p + n, q + m).
@@ -150,7 +152,7 @@ class LaurentSeries:
 
         Newton iteration b <- b*(2 - w*b) on the window, doubling the
         number of known terms each step; both products of a step are
-        short products that form only the k terms the step keeps.
+        short products that keep only the k terms the step needs.
         """
         w = self._w
         if not w:

@@ -33,11 +33,16 @@ lists (``_int_add``, ``_int_mul``, ``_int_gcd``, ``_int_exquo``), and so
 does ``bareiss_det``, the fraction-free determinant of a matrix over
 Z[lam] behind ``bounds.resultant``.
 ``_int_mul_low``, behind ``Poly.mul_low``, is the short product that
-series windows use: only the terms below a given power.  The gcd runs in
-an integer image: both lists evaluated at lam = 2^bits (``_at``), one
-integer gcd, its balanced base-2^bits digits read back (``_digits``) and
-the candidate accepted only when it divides both lists exactly; the
-quartic ring's products, inverses and norms use the same image.
+series windows use: the terms below a given power.  On short, sparse or
+lopsided operands it is a schoolbook loop that forms no term from that
+power on; on two long dense windows it packs both into one integer at
+x = 2^s and reads the low digits of their integer product back, with s
+from a proven growth envelope.  The gcd runs in an integer image: both
+lists evaluated at lam = 2^bits (``_at``), one integer gcd, its balanced
+base-2^bits digits read back (``_digits``) and the candidate accepted only
+when it divides both lists exactly, which also gives the two cofactors
+that ``_int_canon`` keeps; the quartic ring's products, inverses and norms
+use the same image and the same reader.
 """
 
 from __future__ import annotations
@@ -161,7 +166,10 @@ class Poly:
     __rmul__ = __mul__
 
     def mul_low(self, other: Poly, n: int) -> Poly:
-        """``(self * other).truncate(n)``, without forming the terms from x**n on."""
+        """``(self * other).truncate(n)``, by ``_int_mul_low``: the
+        schoolbook path forms no term from x**n on; the packed path forms
+        the whole integer product of the two windows and reads only its
+        low n digits."""
         return Poly._of(_int_mul_low(self._n, other._n, n), self._d * other._d)
 
     def __pow__(self, n: int) -> Poly:
@@ -260,21 +268,91 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+#: The working orders n at which ``_int_mul_low`` packs two dense operands
+#: into one integer product (measured, see there).
+_PACK_MIN, _PACK_MAX = 24, 384
+
+
 def _int_mul_low(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """The terms below x**n of the product, ``_int_mul(a, b)[:n]``; no term
-    at or above x**n is formed."""
+    """The terms below x**n of the product, ``_int_mul(a, b)[:n]``.
+
+    Both operands are first cut to n terms.  The schoolbook path forms each
+    product a_i b_j with i + j < n and no other.  When 24 <= n <= 384 and
+    the operands are dense, 2 nnz(a) nnz(b) >= n^2, ``_packed_mul_low``
+    instead forms one integer product of the two operands' images at
+    x = 2^s, whose terms from x**n on are never read.  Everything else --
+    short times long (a ring numerator times a series window), a series odd
+    or even in lam, Newton's 2 - e with its run of zeros -- stays on the
+    schoolbook path, which skips zero terms.
+
+    The limits are measured: on the dense windows of alpha1 and alpha3
+    (Python 3.11, 2-core VM, median of alternating calls), at
+    n = 8/16/24/32/128/256/384/448/512 the schoolbook path took
+    8/22/52/110/1813/9040/22836/34627/67505 us and the packed path
+    24/35/52/83/982/7086/16081/29593/68507 us.  Past 384 the slot, about
+    2n bits wide, makes the one product cost as much as the schoolbook.
+    """
     if not a or not b or n <= 0:
         return []
     if len(a) > len(b):
         a, b = b, a
     n = min(n, len(a) + len(b) - 1)
+    a, b = a[:n], b[:n]
+    if _PACK_MIN <= n <= _PACK_MAX and 2 * (len(a) - a.count(0)) * (len(b) - b.count(0)) >= n * n:
+        return _packed_mul_low(a, b, n)
     out = [0] * n
-    for i, x in enumerate(a[:n]):
+    for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b[: n - i]):
                 if y:
                     out[i + j] += x * y
     return out
+
+
+def _packed_mul_low(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """``_int_mul_low`` for a, b of at most n terms, as one integer product.
+
+    Each operand is packed into s-bit byte slots, offset by 2^(s-1), as
+    its value at x = 2^s; the product's low n balanced s-bit digits are its
+    terms below x**n.  The terms from x**n on are multiples of 2^(sn), so
+    they cannot disturb those digits.  The digits read back exactly when
+    every |c_k|, k < n, is below 2^(s-1).
+
+    s comes from a growth envelope, not from the largest coefficient: the
+    coefficients of a root window grow by about 2 bits a term (the
+    discriminant 4(lam^2 + 16)^3 vanishes at lam = +-4i), so a max * max
+    bound would double the slot.  For any slope g >= 0 -- here the larger
+    rise per term from the first to the last nonzero term of an operand --
+    let e_a be the largest bitlen|a_i| - g i over nonzero a_i, so
+    |a_i| < 2^(e_a + g i), and e_b likewise.  For k < n,
+    c_k = sum_{i+j=k} a_i b_j has at most n terms, each below
+    2^(e_a + e_b + g k) <= 2^(e_a + e_b + g(n-1)), so
+    |c_k| < n 2^(e_a + e_b + g(n-1)) <= 2^top with
+    top = bitlen(n) + ceil(e_a + e_b + g(n-1)).  g = p/q is rational, and
+    the sums run over q-multiples in integers.  s is the least multiple of
+    8 with s - 1 >= top and s - 1 >= bitlen of every |a_i| and |b_j|, so
+    2^(s-1) exceeds each |c_k| and each operand's slot stays in [0, 2^s).
+    Which g is taken bears only on the width, never on exactness.
+    """
+    sizes = [[(i, abs(v).bit_length()) for i, v in enumerate(x) if v] for x in (a, b)]
+    p, q = max(
+        ((t[-1][1] - t[0][1], t[-1][0] - t[0][0] or 1) for t in sizes),
+        key=lambda r: r[0] / r[1],
+    )
+    p = max(p, 0)
+    e = sum(max(q * k - p * i for i, k in t) for t in sizes)  # q (e_a + e_b)
+    top = max(n.bit_length() - (-(e + p * (n - 1)) // q), *(k for t in sizes for _, k in t))
+    w = top // 8 + 1  # bytes a slot: s = 8w >= top + 1
+    half = 1 << (8 * w - 1)
+    slot = half.to_bytes(w, "little")
+
+    def image(x: Sequence[int]) -> int:
+        packed = b"".join([(v + half).to_bytes(w, "little") for v in x])
+        return int.from_bytes(packed, "little") - int.from_bytes(slot * len(x), "little")
+
+    low = (image(a) * image(b) + int.from_bytes(slot * n, "little")) & ((1 << (8 * w * n)) - 1)
+    buf = low.to_bytes(w * n, "little")
+    return [int.from_bytes(buf[k:k + w], "little") - half for k in range(0, w * n, w)]
 
 
 def _int_exquo(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -335,9 +413,10 @@ def _digits(v: int, bits: int) -> list[int]:
     return out
 
 
-def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+def _int_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], Sequence[int], Sequence[int]]:
     """The gcd over Q[x] of two nonzero integer coefficient lists (no
-    trailing zeros), as a primitive integer list with positive lead.
+    trailing zeros), as a primitive integer list g with positive lead, and
+    the exact quotients a / g and b / g in Z[x].
 
     The heuristic gcd GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7
     (1989)), here exact: with x, y the primitive parts of a, b and
@@ -345,8 +424,8 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     primitive part of the balanced base-xi digits (``_digits``) of
     h = igcd(x(xi), y(xi)).  A candidate that divides both x and y exactly
     (``_int_exquo``) is their gcd (Geddes, Czapor & Labahn, *Algorithms
-    for Computer Algebra*, Thm 7.7); otherwise bits doubles and the next
-    xi is tried.
+    for Computer Algebra*, Thm 7.7), and those two divisions give the
+    quotients; otherwise bits doubles and the next xi is tried.
 
     That ends: let g be the gcd, x = g u and y = g v.  u and v are coprime,
     so s u + t v = r, their resultant, for some s, t in Z[x] and a nonzero
@@ -356,7 +435,7 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     primitive part g passes.  There is no remainder sequence to fall back on.
     """
     if len(a) == 1 or len(b) == 1:
-        return [1]
+        return [1], a, b
     x = _int_primitive(a)
     y = _int_primitive(b)
     bits = (2 * min(max(map(abs, x)), max(map(abs, y))) + 2).bit_length()
@@ -364,14 +443,16 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
         xi = 1 << bits
         g = _digits(gcd_int(_at(x, xi), _at(y, xi)), bits)
         if len(g) == 1:
-            return [1]
+            return [1], a, b
         g = _int_primitive(g)
         try:
-            _int_exquo(x, g)
-            _int_exquo(y, g)
-            return g
+            u, v = _int_exquo(x, g), _int_exquo(y, g)
         except ValueError:
             bits *= 2
+            continue
+        # a = c x with c = a[-1] / x[-1], so a / g = c u
+        ca, cb = a[-1] // x[-1], b[-1] // y[-1]
+        return g, u if ca == 1 else [ca * t for t in u], v if cb == 1 else [cb * t for t in v]
 
 
 def _int_pow(a: Sequence[int], k: int) -> list[int]:
@@ -389,7 +470,7 @@ def _common_multiple(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """A multiple of both a and b in Z[lam] (their lcm up to a constant)."""
     if len(a) == 1 and len(b) == 1:
         return [a[0] * b[0] // gcd_int(a[0], b[0])]
-    return _int_mul(a, _int_exquo(b, _int_gcd(a, b)))
+    return _int_mul(a, _int_gcd(a, b)[2])
 
 
 def _int_clear(
@@ -414,8 +495,10 @@ def _int_canon(
     (1,).  Each list is trimmed in place, so a tuple may come in only
     without trailing zeros (a canonical ``_n`` or ``_d``).  D = 1 is
     already canonical; another constant D needs only the integer content
-    divided out; otherwise the gcd over Q[lam] of D and the N_i is divided
-    out first (exactly, since that gcd is primitive: Gauss's lemma).
+    divided out; otherwise D and the N_i are first replaced by their exact
+    quotients by their gcd over Q[lam], which ``_int_gcd`` forms while it
+    checks that gcd (the quotients are integral, since the gcd is
+    primitive: Gauss's lemma).
     """
     nums = [_trim(n) for n in nums]
     if not any(nums):
@@ -424,15 +507,19 @@ def _int_canon(
     if len(den) == 1 and den[0] == 1:
         return tuple(tuple(n) for n in nums), (1,)
     if len(den) > 1:
-        g = den
-        for n in nums:
+        # quos: D (key -1) and the N_i met so far, each over g, their gcd;
+        # the next step's gcd h divides g, so each is multiplied by g / h
+        g, quos = den, {}
+        for k, n in enumerate(nums):
             if n:
-                g = _int_gcd(g, n)
+                g, u, v = _int_gcd(g, n)
                 if len(g) == 1:
                     break
+                quos = {i: _int_mul(q, u) for i, q in quos.items()} if quos else {-1: u}
+                quos[k] = v
         if len(g) > 1:
-            nums = [_int_exquo(n, g) if n else n for n in nums]
-            den = _int_exquo(den, g)
+            den = quos.pop(-1)
+            nums = [quos.get(k, n) for k, n in enumerate(nums)]
     c = gcd_int(*den, *(v for n in nums for v in n))
     if den[-1] < 0:
         c = -c
@@ -458,7 +545,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.monic()
     if not b:
         return a.monic()
-    g = _int_gcd(a._n, b._n)
+    g = _int_gcd(a._n, b._n)[0]
     return ONE if len(g) == 1 else Poly._of(g, g[-1])
 
 

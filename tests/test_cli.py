@@ -219,12 +219,14 @@ def test_usage_errors_exit_two(capsys):
     "argv",
     [
         ["roots", "--order", "0"],
+        ["roots", "--order", "5000"],
+        ["verify", "--order", "1025"],
         ["bounds", "--a", "0"],
         ["search", "--jobs", "-2"],
         ["verify", "--order", "0"],
         ["roots", "--order", "2", "--out", "/nonexistent/dir/x"],
     ],
-    ids=["order-zero", "a-zero", "jobs-negative", "verify-order-zero", "out-unwritable"],
+    ids=["order-zero", "order-too-large", "verify-order-too-large", "a-zero", "jobs-negative", "verify-order-zero", "out-unwritable"],
 )
 def test_bad_input_exits_two_with_one_line(capsys, argv):
     try:

@@ -21,6 +21,8 @@ from itertools import permutations
 from math import gcd
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 import conftest
 import property_suites
@@ -217,14 +219,138 @@ def _rand_int_list(rng):
     return out
 
 
-def test_short_product_is_the_low_part_of_the_full_product_random():
-    # oracle: ``_int_mul``, the one full product, cut to its first n terms
+def _rand_long_list(rng, length, shape=None):
+    """A list of the given length in one of the shapes series windows take:
+    geometric growth (a root window), decreasing coefficients, all-maximum
+    alternating signs, one parity only, a run of zeros after the constant
+    (Newton's 2 - e), or zeros at either end."""
+    if shape is None:
+        shape = rng.randrange(6)
+    if shape == 0:
+        g = rng.randint(1, 3)
+        out = [rng.randint(-(2 ** (g * i + 8)), 2 ** (g * i + 8)) for i in range(length)]
+    elif shape == 1:
+        out = [rng.randint(-(2 ** (3 * (length - i))), 2 ** (3 * (length - i))) for i in range(length)]
+    elif shape == 2:
+        m = 2 ** rng.randint(1, 200) - 1
+        out = [m if i % 2 else -m for i in range(length)]
+    elif shape == 3:
+        p = rng.randrange(2)
+        out = [rng.randint(1, 2 ** (2 * i + 4)) if i % 2 == p else 0 for i in range(length)]
+    elif shape == 4:
+        out = [1] + [0] * (length // 2) + [rng.randint(-(2**90), 2**90) for _ in range(length)]
+        out = out[:length]
+    else:
+        out = [rng.randint(-(2**60), 2**60) for _ in range(length)]
+        k = rng.randint(1, 8)
+        out[:k] = [0] * k
+        if rng.randrange(2):
+            out[-k:] = [0] * k
+    return out
+
+
+def test_short_product_is_the_low_part_of_the_full_product_random(monkeypatch):
+    # oracle: ``_int_mul``, the one full product, cut to its first n terms;
+    # short lists take every n, long ones n on both sides of 24 and 384, so
+    # both the schoolbook and the packed path run
+    packed = polynomials._packed_mul_low
+    taken = []
+
+    def counting(a, b, n):
+        taken.append(n)
+        return packed(a, b, n)
+
+    monkeypatch.setattr(polynomials, "_packed_mul_low", counting)
     rng = random.Random(20261019)
     for _ in range(1500):
         a, b = _rand_int_list(rng), _rand_int_list(rng)
         full = _int_mul(a, b)
         for n in range(-2, len(a) + len(b) + 2):
             assert _int_mul_low(a, b, n) == full[: max(n, 0)], (a, b, n)
+    long_calls = 0
+    for _ in range(60):
+        a, b = (_rand_long_list(rng, rng.randint(20, 200)) for _ in "ab")
+        full = _int_mul(a, b)
+        top = len(full)
+        for n in {23, 24, 25, rng.randint(26, top), top, top + 1}:
+            assert _int_mul_low(a, b, n) == full[:n], (a, b, n)
+            long_calls += 1
+    for shape in (0, 2, 5):  # dense operands long enough to be dense at n = 384
+        a, b = (_rand_long_list(rng, 390, shape) for _ in "ab")
+        full = _int_mul(a, b)
+        for n in (383, 384, 385):
+            assert _int_mul_low(a, b, n) == full[:n], (a, b, n)
+            long_calls += 1
+    assert len(taken) > 60 and long_calls - len(taken) > 60
+    assert min(taken) == polynomials._PACK_MIN and max(taken) == polynomials._PACK_MAX
+
+
+def test_packed_short_product_reads_back_a_coefficient_near_its_slot():
+    # a = b = (-m, m, -m, ...) with m = 2^63 - 1: every term of c_127 has one
+    # sign, so |c_127| = 128 m^2 < 2^133 is as large as the envelope allows;
+    # the slot is 136 bits (134 from the bound, rounded up to whole bytes),
+    # so the largest digit comes within 2 bits of 2^135
+    m = 2**63 - 1
+    a = [m if i % 2 else -m for i in range(128)]
+    got = _int_mul_low(a, a, 128)
+    assert got == [(-1) ** k * (k + 1) * m * m for k in range(128)]
+    assert max(abs(c) for c in got).bit_length() == 133
+
+
+@st.composite
+def _windows(draw):
+    """Two coefficient lists and a cut n: terms that grow by g bits a term
+    like a root window: either both dense with at least 24 terms and
+    n >= 24, or each dense or even or odd as a series (every other term
+    zero), of any length up to 60, and any n."""
+    g, dense = draw(st.integers(0, 3)), draw(st.booleans())
+    odd = st.integers(-(2**40), 2**40).map(lambda v: 2 * v + 1)
+
+    def window():
+        step = 1 if dense else draw(st.integers(1, 2))
+        size = draw(st.integers(24 if dense else 0, 60))
+        vals = draw(st.lists(odd, min_size=size, max_size=size))
+        return [v << (g * i) if i % step == 0 else 0 for i, v in enumerate(vals)]
+
+    a, b = window(), window()
+    return a, b, draw(st.integers(24 if dense else -1, len(a) + len(b) + 1))
+
+
+def test_short_product_matches_sympy(monkeypatch):
+    # an outside oracle: sympy's product over ZZ, cut to n terms
+    x = sympy.Symbol("x")
+    packed = polynomials._packed_mul_low
+    taken = []
+
+    def counting(a, b, n):
+        taken.append(n)
+        return packed(a, b, n)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(_windows())
+    def check(case):
+        a, b, n = case
+        if not a or not b:
+            assert _int_mul_low(a, b, n) == []
+            return
+        prod = sympy.Poly(a[::-1], x, domain=sympy.ZZ) * sympy.Poly(b[::-1], x, domain=sympy.ZZ)
+        terms = [int(c) for c in reversed(prod.all_coeffs())]
+        terms += [0] * (len(a) + len(b) - 1 - len(terms))
+        assert _int_mul_low(a, b, n) == terms[: max(n, 0)]
+
+    monkeypatch.setattr(polynomials, "_packed_mul_low", counting)
+    check()
+    # both sides of the choice ran
+    assert 10 < len(taken) < 90
+
+
+def test_packed_short_product_keeps_a_slot_for_every_operand_term():
+    # a_i = 16^i, b = 20 zeros then 20 ones, n = 40: dense enough to pack.
+    # Every product of a_39 lands at or above x^40, so the bound on the c_k
+    # (84 bits) is below a_39 (157 bits); the slot must still hold a_39.
+    a = [2 ** (4 * i) for i in range(40)]
+    b = [0] * 20 + [1] * 20
+    assert _int_mul_low(a, b, 40) == [0] * 20 + [sum(a[: k - 19]) for k in range(20, 40)]
 
 
 def test_short_product_pinned():
@@ -240,6 +366,8 @@ def test_short_product_pinned():
 
 
 def test_short_product_forms_no_term_at_or_above_n():
+    # pins the schoolbook path: every n here is below ``_PACK_MIN``; the
+    # packed path forms the whole integer product and reads its low digits
     formed = []
 
     class Term:
@@ -405,7 +533,9 @@ def test_gcd_of_wide_polynomials_matches_euclid_reference():
         assert got == euclid_gcd_reference(a, b)
         # random u, v are coprime, so the gcd is the planted factor
         assert got == g.monic()
-        assert _int_gcd(a._n, b._n) == _int_primitive(g._n)
+        h, qa, qb = _int_gcd(a._n, b._n)
+        assert h == _int_primitive(g._n)
+        assert _int_mul(h, qa) == list(a._n) and _int_mul(h, qb) == list(b._n)
 
 
 def test_gcd_retries_after_an_unlucky_first_point(monkeypatch):
@@ -422,7 +552,7 @@ def test_gcd_retries_after_an_unlucky_first_point(monkeypatch):
         return digits(v, bits)
 
     monkeypatch.setattr(polynomials, "_digits", recording)
-    assert _int_gcd(a, b) == [-5, 3]
+    assert _int_gcd(a, b) == ([-5, 3], [7, 0, 3], [8, -7, -9, 3])
     assert len(readings) > 1 and readings[0] == 7
     first = _int_primitive(digits(gcd(_at(a, 2**7), _at(b, 2**7)), 7))
     with pytest.raises(ValueError):

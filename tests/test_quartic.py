@@ -240,7 +240,7 @@ def _is_canonical(e: RingElem) -> bool:
     g = list(den)
     for n in nums:
         if n:
-            g = _int_gcd(g, n)
+            g = _int_gcd(g, n)[0]
     flat = [v for n in nums for v in n] + list(den)
     return g == [1] and all(not n or n[-1] for n in nums) and den[-1] > 0 and gcd(*flat) == 1
 
