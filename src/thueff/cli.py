@@ -4,8 +4,10 @@ Subcommands: roots, bounds, search, solve, verify.  All output is
 deterministic; JSON is rendered with sorted keys so a parse/serialize
 round trip is byte-identical.  Exit codes: 0 success, 1 failed
 reproduction, 2 bad input (a usage error, such as an ``--order`` above
-the precision cap, or an unwritable ``--out``), reported on one
-``thueff: error: ...`` line.
+the precision cap, or an unwritable ``--out``), 3 a failure of the
+environment (``MemoryError`` or ``RecursionError``), not of the
+mathematics.  Exits 2 and 3 are reported on one ``thueff: error: ...``
+line.
 """
 
 from __future__ import annotations
@@ -197,6 +199,11 @@ def main(argv=None) -> int:
     except (ThueffError, OSError) as exc:
         print(f"thueff: error: {exc}", file=sys.stderr)
         return 2
+    except (MemoryError, RecursionError) as exc:
+        reason = " ".join(f"{type(exc).__name__}: {exc}".split()).rstrip(":")
+        print(f"thueff: error: the environment failed ({reason}), not the mathematics",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

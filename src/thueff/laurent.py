@@ -14,8 +14,8 @@ on ``Poly``'s integer kernel; ``coeffs`` builds the window as
 ``Fraction``s on demand.  Products, and both products of each Newton
 step of ``inv``, are short products (``Poly.mul_low``) that keep only the
 terms below the order: a schoolbook loop forms none above it, and two
-long dense windows go through one integer product whose digits from that
-order on are never read.
+long dense windows go through two half-width integer products whose
+digits from that order on are never read.
 Truncation orders are tracked pessimistically through arithmetic; in
 particular a product of windows of orders m, n with leads p, q is only
 known to order min(p + n, q + m).

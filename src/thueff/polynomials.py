@@ -35,8 +35,10 @@ Z[lam] behind ``bounds.resultant``.
 ``_int_mul_low``, behind ``Poly.mul_low``, is the short product that
 series windows use: the terms below a given power.  On short, sparse or
 lopsided operands it is a schoolbook loop that forms no term from that
-power on; on two long dense windows it packs both into one integer at
-x = 2^s and reads the low digits of their integer product back, with s
+power on; on two long dense windows it packs the even- and odd-index
+terms of each into s-bit slots, forms two half-width integer products at
+x = +-2^(s/2) (Harvey's two-point Kronecker substitution) and reads the
+even and odd terms back from their half-sum and half-difference, with s
 from a proven growth envelope.  The gcd runs in an integer image: both
 lists evaluated at lam = 2^bits (``_at``), one integer gcd, its balanced
 base-2^bits digits read back (``_digits``) and the candidate accepted only
@@ -268,29 +270,46 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-#: The working orders n at which ``_int_mul_low`` packs two dense operands
-#: into one integer product (measured, see there).
-_PACK_MIN, _PACK_MAX = 24, 384
+#: The least working order n at which ``_int_mul_low`` packs two dense
+#: operands into two half-width integer products (measured, see there).
+_PACK_MIN = 28
 
 
 def _int_mul_low(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     """The terms below x**n of the product, ``_int_mul(a, b)[:n]``.
 
     Both operands are first cut to n terms.  The schoolbook path forms each
-    product a_i b_j with i + j < n and no other.  When 24 <= n <= 384 and
-    the operands are dense, 2 nnz(a) nnz(b) >= n^2, ``_packed_mul_low``
-    instead forms one integer product of the two operands' images at
-    x = 2^s, whose terms from x**n on are never read.  Everything else --
-    short times long (a ring numerator times a series window), a series odd
-    or even in lam, Newton's 2 - e with its run of zeros -- stays on the
-    schoolbook path, which skips zero terms.
+    product a_i b_j with i + j < n and no other.  When n >= 28 and the
+    operands are dense, 2 nnz(a) nnz(b) >= n^2, ``_packed_mul_low``
+    instead forms two integer products of the operands' images at
+    x = +-2^(s/2), whose terms from x**n on are never read.  Everything
+    else -- short times long (a ring numerator times a series window), a
+    series odd or even in lam, Newton's 2 - e with its run of zeros --
+    stays on the schoolbook path, which skips zero terms.
 
-    The limits are measured: on the dense windows of alpha1 and alpha3
-    (Python 3.11, 2-core VM, median of alternating calls), at
-    n = 8/16/24/32/128/256/384/448/512 the schoolbook path took
-    8/22/52/110/1813/9040/22836/34627/67505 us and the packed path
-    24/35/52/83/982/7086/16081/29593/68507 us.  Past 384 the slot, about
-    2n bits wide, makes the one product cost as much as the schoolbook.
+    The limit is measured on the dense windows of alpha1 and alpha3
+    (Python 3.11, 2-core VM, median of 7-101 alternating calls, us):
+
+    ====  ==========  ======
+    n     schoolbook  packed
+    ====  ==========  ======
+    8     9           32
+    16    28          48
+    24    62          66
+    26    73          72
+    28    84          74
+    32    110         85
+    64    503         212
+    128   2147        896
+    256   9874        5365
+    512   59803       41663
+    1024  432701      253726
+    1040  531837      339751
+    ====  ==========  ======
+
+    Packing loses below n = 26, is level at 26-27 and wins at every larger
+    n measured (at n = 1536 too: 0.97 s against 1.85 s), so it has no
+    upper limit.
     """
     if not a or not b or n <= 0:
         return []
@@ -298,7 +317,7 @@ def _int_mul_low(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
         a, b = b, a
     n = min(n, len(a) + len(b) - 1)
     a, b = a[:n], b[:n]
-    if _PACK_MIN <= n <= _PACK_MAX and 2 * (len(a) - a.count(0)) * (len(b) - b.count(0)) >= n * n:
+    if n >= _PACK_MIN and 2 * (len(a) - a.count(0)) * (len(b) - b.count(0)) >= n * n:
         return _packed_mul_low(a, b, n)
     out = [0] * n
     for i, x in enumerate(a):
@@ -309,14 +328,10 @@ def _int_mul_low(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def _packed_mul_low(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """``_int_mul_low`` for a, b of at most n terms, as one integer product.
-
-    Each operand is packed into s-bit byte slots, offset by 2^(s-1), as
-    its value at x = 2^s; the product's low n balanced s-bit digits are its
-    terms below x**n.  The terms from x**n on are multiples of 2^(sn), so
-    they cannot disturb those digits.  The digits read back exactly when
-    every |c_k|, k < n, is below 2^(s-1).
+def _slot_bytes(a: Sequence[int], b: Sequence[int], n: int) -> int:
+    """The slot width s/8 in bytes of ``_packed_mul_low``: every term
+    below x**n of the product a b, and every term of a and b, lies in
+    [-2^(s-1), 2^(s-1)).
 
     s comes from a growth envelope, not from the largest coefficient: the
     coefficients of a root window grow by about 2 bits a term (the
@@ -330,8 +345,7 @@ def _packed_mul_low(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     |c_k| < n 2^(e_a + e_b + g(n-1)) <= 2^top with
     top = bitlen(n) + ceil(e_a + e_b + g(n-1)).  g = p/q is rational, and
     the sums run over q-multiples in integers.  s is the least multiple of
-    8 with s - 1 >= top and s - 1 >= bitlen of every |a_i| and |b_j|, so
-    2^(s-1) exceeds each |c_k| and each operand's slot stays in [0, 2^s).
+    8 with s - 1 >= top and s - 1 >= bitlen of every |a_i| and |b_j|.
     Which g is taken bears only on the width, never on exactness.
     """
     sizes = [[(i, abs(v).bit_length()) for i, v in enumerate(x) if v] for x in (a, b)]
@@ -342,7 +356,35 @@ def _packed_mul_low(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     p = max(p, 0)
     e = sum(max(q * k - p * i for i, k in t) for t in sizes)  # q (e_a + e_b)
     top = max(n.bit_length() - (-(e + p * (n - 1)) // q), *(k for t in sizes for _, k in t))
-    w = top // 8 + 1  # bytes a slot: s = 8w >= top + 1
+    return top // 8 + 1  # s = 8w >= top + 1
+
+
+def _packed_mul_low(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """``_int_mul_low`` for nonzero a, b of at most n terms, as two
+    half-width integer products: Harvey's two-point Kronecker substitution
+    (D. Harvey, "Faster polynomial multiplication via multipoint Kronecker
+    substitution", *J. Symbolic Comput.* 44, 2009).
+
+    Write a(x) = a_e(x^2) + x a_o(x^2), its even- and odd-index terms, take
+    the slot s of ``_slot_bytes`` and h = s/2.  A_e = a_e(2^s) and
+    A_o = a_o(2^s) are the two streams packed into s-bit slots, offset by
+    2^(s-1), so a(+-2^h) = A_e +- 2^h A_o, and likewise for b.  The two
+    products are P+- = a(+-2^h) b(+-2^h) = c(+-2^h) = C_e +- 2^h C_o with
+    C_e = sum_j c_2j 2^(sj) and C_o = sum_j c_2j+1 2^(sj), so
+    C_e = (P+ + P-)/2 and C_o = (P+ - P-)/2^(h+1); both halvings are
+    exact.  In C_e the terms c_2j with 2j >= n, i.e. j >= ceil(n/2), are
+    multiples of 2^(s ceil(n/2)); in C_o those with 2j + 1 >= n, i.e.
+    j >= floor(n/2), are multiples of 2^(s floor(n/2)).  Neither disturbs
+    the digits below, so the low ceil(n/2) balanced s-bit digits of C_e
+    are the c_2j, and the low floor(n/2) of C_o the c_2j+1, below x**n:
+    exact, since ``_slot_bytes`` puts every such |c_k| below 2^(s-1).
+
+    Each product has about half the bits of the one product
+    a(2^s) b(2^s), so under Karatsuba the two cost about
+    2 (1/2)^1.585 = 0.67 of it.
+    """
+    w = _slot_bytes(a, b, n)
+    h = 4 * w  # s / 2
     half = 1 << (8 * w - 1)
     slot = half.to_bytes(w, "little")
 
@@ -350,9 +392,21 @@ def _packed_mul_low(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
         packed = b"".join([(v + half).to_bytes(w, "little") for v in x])
         return int.from_bytes(packed, "little") - int.from_bytes(slot * len(x), "little")
 
-    low = (image(a) * image(b) + int.from_bytes(slot * n, "little")) & ((1 << (8 * w * n)) - 1)
-    buf = low.to_bytes(w * n, "little")
-    return [int.from_bytes(buf[k:k + w], "little") - half for k in range(0, w * n, w)]
+    def at_two_points(x: Sequence[int]) -> tuple[int, int]:
+        even, odd = image(x[0::2]), image(x[1::2]) << h
+        return even + odd, even - odd
+
+    def low_digits(v: int, m: int) -> list[int]:
+        low = (v + int.from_bytes(slot * m, "little")) & ((1 << (8 * w * m)) - 1)
+        buf = low.to_bytes(w * m, "little")
+        return [int.from_bytes(buf[k:k + w], "little") - half for k in range(0, w * m, w)]
+
+    (ap, am), (bp, bm) = at_two_points(a), at_two_points(b)
+    plus, minus = ap * bp, am * bm
+    out = [0] * n
+    out[0::2] = low_digits((plus + minus) >> 1, (n + 1) // 2)
+    out[1::2] = low_digits((plus - minus) >> (h + 1), n // 2)
+    return out
 
 
 def _int_exquo(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -88,8 +88,15 @@ def admissible_exponents(budget: int = bounds.EXPONENT_BUDGET) -> list[Triple]:
 # u = (alpha + 1)**t.  Multiplying by u is linear in x, so c2 and c3 of
 # x * u are the dot products of x with the c2 and c3 entries of
 # alpha**i * u, i = 0..3: two 4-vectors per t, built once per scan.  Each
-# x is one product per (r, s) pair, shared by every t.  The dot products
-# are integers of the same image, so the test rejects exactly the triples
+# x is shared by every t of its (r, s) pair, and x for (r, s + 1) is x * alpha,
+# a shift folded with the row's image: (x3 r0, x0 + x3 r1, x1 + x3 r2,
+# x2 + x3 r3).  One full product runs only where a run of s begins or after
+# a gap, so any order or chunking of the triples scans correctly.  When
+# alpha**-1 lies in Z[lam][alpha] (its denominator D is 1, as under the
+# healthy row, where f has constant term 1) the walk gives the very images
+# of the full products; otherwise it gives them times a power of D(LAM0),
+# which is M times the unit again.  The dot products are
+# integers of the same image, so the test rejects exactly the triples
 # whose full product has a nonzero c2 or c3 in the image.
 
 LAM0 = 1234567
@@ -137,12 +144,16 @@ def _scan_chunk(payload: tuple[int, list[Triple]]) -> list[Triple]:
     limit, triples = payload
     row, (t0, t1, t2) = _power_tables(limit)
     forms = _linear_forms(row, t2)
-    pairs: dict[tuple[int, int], Image] = {}
+    r0, r1, r2, r3 = row
+    at = None  # the (r, s) whose image x holds
     found = []
     for r, s, t in triples:
-        x = pairs.get((r, s))
-        if x is None:
-            x = pairs[r, s] = quartic._image_mul(t0[r], t1[s], row)
+        if at != (r, s):
+            if at == (r, s - 1):
+                x = (x3 * r0, x0 + x3 * r1, x1 + x3 * r2, x2 + x3 * r3)  # x * alpha
+            else:
+                x = quartic._image_mul(t0[r], t1[s], row)
+            at = (r, s)
         x0, x1, x2, x3 = x
         (a0, a1, a2, a3), (b0, b1, b2, b3) = forms[t]
         if x0 * a0 + x1 * a1 + x2 * a2 + x3 * a3:
@@ -330,7 +341,8 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
     """Re-derive the full solution pipeline and certify every step.
 
     Raises ReproductionFailure (with the certificate attached) if any
-    check reads FAIL or ERROR.
+    check reads FAIL or ERROR.  A MemoryError or RecursionError inside a
+    check is not a verdict on the mathematics and propagates as it is.
     """
     checks: list[CheckResult] = []
     budget = bounds.EXPONENT_BUDGET
@@ -339,8 +351,12 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
         # A check that cannot even evaluate (e.g. under fault injection a
         # ring inverse may hit a singular system) reads ERROR, never
         # crashes the verifier, and fails the certificate like a FAIL.
+        # Running out of memory or stack is a failure of the environment,
+        # not of the mathematics, so it propagates instead.
         try:
             status = "PASS" if thunk() else "FAIL"
+        except (MemoryError, RecursionError):
+            raise
         except Exception as exc:
             status = "ERROR"
             detail = f"{detail} [{type(exc).__name__}: {exc}]"

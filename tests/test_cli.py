@@ -16,7 +16,7 @@ import pytest
 
 import thueff
 from thueff import cli, quartic
-from thueff.errors import ReproductionFailure
+from thueff.errors import ReproductionFailure, ZeroDivisor
 from thueff.polynomials import RatFunc
 
 
@@ -181,6 +181,39 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     assert code == 1
     assert "FAIL siegel-identity" in out
     assert "certificate: FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "exc, code, err",
+    [
+        (MemoryError(), 3, "thueff: error: the environment failed (MemoryError), not the mathematics"),
+        (
+            RecursionError("maximum recursion depth exceeded"),
+            3,
+            "thueff: error: the environment failed "
+            "(RecursionError: maximum recursion depth exceeded), not the mathematics",
+        ),
+        (ZeroDivisor("inverse of zero"), 1, ""),
+    ],
+    ids=["memory", "recursion", "zero-divisor"],
+)
+def test_environment_failure_in_a_check_exits_three(capsys, monkeypatch, exc, code, err):
+    # an exhausted environment inside a check is not a refuted identity: it
+    # leaves the certificate unwritten and exits 3 on one line; the
+    # exceptions that tampered mathematics raises still read ERROR (exit 1)
+    def raising():
+        raise exc
+
+    monkeypatch.setattr(cli.search.valuations, "vandermonde_report", raising)
+    assert cli.main(["verify"]) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ([err] if err else [])
+    if code == 3:
+        assert captured.out == ""
+    else:
+        assert "ERROR vandermonde-valuation" in captured.out
+        assert "[ZeroDivisor: inverse of zero]" in captured.out
+        assert "certificate: FAIL" in captured.out
 
 
 def test_verify_text_aligns_check_names_under_error(capsys):

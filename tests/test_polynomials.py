@@ -22,7 +22,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings, strategies as st, target
 
 import conftest
 import property_suites
@@ -251,8 +251,9 @@ def _rand_long_list(rng, length, shape=None):
 
 def test_short_product_is_the_low_part_of_the_full_product_random(monkeypatch):
     # oracle: ``_int_mul``, the one full product, cut to its first n terms;
-    # short lists take every n, long ones n on both sides of 24 and 384, so
-    # both the schoolbook and the packed path run
+    # short lists take every n, long ones n on both sides of ``_PACK_MIN``,
+    # so both the schoolbook and the packed path run; the longest pairs
+    # (geometric growth among them) run the packed path far above it
     packed = polynomials._packed_mul_low
     taken = []
 
@@ -272,7 +273,7 @@ def test_short_product_is_the_low_part_of_the_full_product_random(monkeypatch):
         a, b = (_rand_long_list(rng, rng.randint(20, 200)) for _ in "ab")
         full = _int_mul(a, b)
         top = len(full)
-        for n in {23, 24, 25, rng.randint(26, top), top, top + 1}:
+        for n in {27, 28, 29, rng.randint(30, top), top, top + 1}:
             assert _int_mul_low(a, b, n) == full[:n], (a, b, n)
             long_calls += 1
     for shape in (0, 2, 5):  # dense operands long enough to be dense at n = 384
@@ -281,39 +282,59 @@ def test_short_product_is_the_low_part_of_the_full_product_random(monkeypatch):
         for n in (383, 384, 385):
             assert _int_mul_low(a, b, n) == full[:n], (a, b, n)
             long_calls += 1
+
+    def slope_one():  # geometric growth of 1 bit a term keeps the oracle cheap
+        return [rng.randint(-(2 ** (i + 8)), 2 ** (i + 8)) for i in range(1041)]
+
+    pairs = [(slope_one(), slope_one())]
+    pairs += [(_rand_long_list(rng, 1041, shape), _rand_long_list(rng, 1041, shape)) for shape in (2, 5)]
+    for a, b in pairs:
+        full = _int_mul(a, b)
+        for n in (1039, 1040, 1041):
+            assert _int_mul_low(a, b, n) == full[:n], (a, b, n)
+            long_calls += 1
     assert len(taken) > 60 and long_calls - len(taken) > 60
-    assert min(taken) == polynomials._PACK_MIN and max(taken) == polynomials._PACK_MAX
+    assert min(taken) == polynomials._PACK_MIN and max(taken) == 1041
 
 
 def test_packed_short_product_reads_back_a_coefficient_near_its_slot():
-    # a = b = (-m, m, -m, ...) with m = 2^63 - 1: every term of c_127 has one
-    # sign, so |c_127| = 128 m^2 < 2^133 is as large as the envelope allows;
-    # the slot is 136 bits (134 from the bound, rounded up to whole bytes),
-    # so the largest digit comes within 2 bits of 2^135
+    # a = (-m, m, -m, ...) with m = 2^63 - 1 and b = a or b = -a: every
+    # term of c_k has one sign, so |c_k| = (k + 1) m^2 is as large as the
+    # envelope allows, and |c_(n-1)| = n m^2 < 2^133.  The slot is 136 bits (134 from the bound,
+    # rounded up to whole bytes), so the largest digit comes within 2 bits
+    # of 2^135: in the odd stream at n = 128, in the even stream at n = 127
     m = 2**63 - 1
     a = [m if i % 2 else -m for i in range(128)]
-    got = _int_mul_low(a, a, 128)
-    assert got == [(-1) ** k * (k + 1) * m * m for k in range(128)]
-    assert max(abs(c) for c in got).bit_length() == 133
+    for b, sign in ((a, 1), ([-v for v in a], -1)):
+        for n in (128, 127):
+            assert polynomials._slot_bytes(a[:n], b[:n], n) == 17
+            got = _int_mul_low(a, b, n)
+            assert got == [sign * (-1) ** k * (k + 1) * m * m for k in range(n)]
+            assert max(abs(c) for c in got).bit_length() == abs(got[-1]).bit_length() == 133
 
 
 @st.composite
 def _windows(draw):
     """Two coefficient lists and a cut n: terms that grow by g bits a term
-    like a root window: either both dense with at least 24 terms and
-    n >= 24, or each dense or even or odd as a series (every other term
-    zero), of any length up to 60, and any n."""
+    like a root window: either both dense with at least ``_PACK_MIN`` terms
+    and n >= ``_PACK_MIN``, or each dense or even or odd as a series (every
+    other term zero), of any length up to 60, and any n.  b is sometimes
+    a copy of a (a series square), and n is sometimes made odd (then the
+    even stream reads one digit more than the odd one)."""
     g, dense = draw(st.integers(0, 3)), draw(st.booleans())
+    low = polynomials._PACK_MIN
     odd = st.integers(-(2**40), 2**40).map(lambda v: 2 * v + 1)
 
     def window():
         step = 1 if dense else draw(st.integers(1, 2))
-        size = draw(st.integers(24 if dense else 0, 60))
+        size = draw(st.integers(low if dense else 0, 60))
         vals = draw(st.lists(odd, min_size=size, max_size=size))
         return [v << (g * i) if i % step == 0 else 0 for i, v in enumerate(vals)]
 
-    a, b = window(), window()
-    return a, b, draw(st.integers(24 if dense else -1, len(a) + len(b) + 1))
+    a = window()
+    b = list(a) if draw(st.booleans()) else window()
+    n = draw(st.integers(low if dense else -1, len(a) + len(b) + 1))
+    return a, b, n | 1 if draw(st.booleans()) else n
 
 
 def test_short_product_matches_sympy(monkeypatch):
@@ -323,7 +344,7 @@ def test_short_product_matches_sympy(monkeypatch):
     taken = []
 
     def counting(a, b, n):
-        taken.append(n)
+        taken.append(n % 2)
         return packed(a, b, n)
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -340,8 +361,54 @@ def test_short_product_matches_sympy(monkeypatch):
 
     monkeypatch.setattr(polynomials, "_packed_mul_low", counting)
     check()
-    # both sides of the choice ran
+    # both sides of the choice ran, and the packed side with odd and even n
     assert 10 < len(taken) < 90
+    assert set(taken) == {0, 1}
+
+
+@st.composite
+def _envelope_windows(draw):
+    """Two dense lists of n terms that fill the growth envelope: term i is
+    2^(e + g i) - 1 - d, all of one sign or alternating (then every term of
+    a c_k has one sign); b is sometimes an equal copy of a."""
+    n, g = draw(st.integers(polynomials._PACK_MIN, 130)), draw(st.integers(0, 3))
+    alternate = draw(st.booleans())
+
+    def window():
+        e, d = draw(st.integers(1, 80)), draw(st.integers(0, 2**20))
+        return [(-1) ** (i * alternate) * max((1 << (e + g * i)) - 1 - d, 1) for i in range(n)]
+
+    a = window()
+    return a, list(a) if draw(st.booleans()) else window(), n
+
+
+def test_packed_short_product_slot_is_tight_on_envelope_inputs():
+    # a search for the largest digit against the slot: hypothesis maximizes
+    # bitlen max|c_k| - (s - 1), which exactness needs <= 0.  It reaches 0,
+    # so the slot has no spare bit on these inputs, and its worst input
+    # (found by this search, g = 3, n = 95) is pinned below: c_94 has
+    # exactly s - 1 = 391 bits
+    gaps = []
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(_envelope_windows())
+    def check(case):
+        a, b, n = case
+        got = polynomials._packed_mul_low(a, b, n)
+        assert got == _int_mul(a, b)[:n]
+        gap = max(abs(c) for c in got).bit_length() - (8 * polynomials._slot_bytes(a, b, n) - 1)
+        assert gap <= 0
+        target(gap)
+        gaps.append(gap)
+
+    check()
+    assert max(gaps) == 0
+    a = [(1 << (64 + 3 * i)) - 139 for i in range(95)]
+    b = [(1 << (38 + 3 * i)) - 5096 for i in range(95)]
+    got = _int_mul_low(a, b, 95)
+    assert got == _int_mul(a, b)[:95]
+    assert polynomials._slot_bytes(a, b, 95) == 49
+    assert max(abs(c) for c in got).bit_length() == got[94].bit_length() == 391
 
 
 def test_packed_short_product_keeps_a_slot_for_every_operand_term():

@@ -177,6 +177,28 @@ def test_search_invariant_under_enumeration_order():
     rng.shuffle(shuffled)
     found = search._scan_chunk((3, shuffled))
     assert sorted(found) == search_trivial_units(budget=3)
+    # The scan walks (r, s) -> (r, s + 1) by one multiplication by alpha and
+    # forms a full product elsewhere; in every order below -- runs of s
+    # ascending, descending, interleaved across t, with gaps, shuffled, in
+    # chunks -- it keeps exactly the triples whose full product has
+    # c2 = c3 = 0, in the order given.
+    route = _full_product_route(EXPONENT_BUDGET)
+    box = admissible_exponents(EXPONENT_BUDGET)
+    shuffled = box[:]
+    rng.shuffle(shuffled)
+    orders = [
+        box[::-1],
+        sorted(box, key=lambda tr: (tr[2], tr[0], tr[1])),
+        sorted(box, key=lambda tr: (tr[0], -tr[1], tr[2])),
+        [tr for tr in box if tr[1] % 2 == 0],
+        shuffled,
+    ]
+    for order in orders:
+        expect = [tr for tr in order if route[tr][2:] == (0, 0)]
+        assert search._scan_chunk((EXPONENT_BUDGET, order)) == expect
+    chunks = [shuffled[i:i + 101] for i in range(0, len(shuffled), 101)]
+    found = [tr for chunk in chunks for tr in search._scan_chunk((EXPONENT_BUDGET, chunk))]
+    assert sorted(found) == list(TRIVIAL_TRIPLES)
 
 
 def test_found_units_have_constant_norm_and_small_height():
