@@ -15,7 +15,10 @@ on ``Poly``'s integer kernel; ``coeffs`` builds the window as
 step of ``inv``, are short products (``Poly.mul_low``) that keep only the
 terms below the order: a schoolbook loop forms none above it, and two
 long dense windows go through two half-width integer products whose
-digits from that order on are never read.
+digits from that order on are never read.  Two long windows that are
+both even or both odd in t (the roots alpha2 and alpha4 are odd in lam,
+so their windows and powers are even in t) multiply as their nonzero
+streams, series in t^2 at half the length.
 Truncation orders are tracked pessimistically through arithmetic; in
 particular a product of windows of orders m, n with leads p, q is only
 known to order min(p + n, q + m).

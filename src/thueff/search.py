@@ -26,6 +26,7 @@ check uses.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple
 
 from . import bounds, laurent, quartic, valuations
@@ -87,8 +88,9 @@ def admissible_exponents(budget: int = bounds.EXPONENT_BUDGET) -> list[Triple]:
 # The unit of (r, s, t) is x * u with x = (alpha - 1)**r * alpha**s and
 # u = (alpha + 1)**t.  Multiplying by u is linear in x, so c2 and c3 of
 # x * u are the dot products of x with the c2 and c3 entries of
-# alpha**i * u, i = 0..3: two 4-vectors per t, built once per scan.  Each
-# x is shared by every t of its (r, s) pair, and x for (r, s + 1) is x * alpha,
+# alpha**i * u, i = 0..3: two 4-vectors per t.  They and the power tables
+# are built once per ring and limit (``_scan_tables``).  Each x is shared
+# by every t of its (r, s) pair, and x for (r, s + 1) is x * alpha,
 # a shift folded with the row's image: (x3 r0, x0 + x3 r1, x1 + x3 r2,
 # x2 + x3 r3).  One full product runs only where a run of s begins or after
 # a gap, so any order or chunking of the triples scans correctly.  When
@@ -139,11 +141,27 @@ def _linear_forms(
     return forms
 
 
+#: (row tables, limit, what ``_scan_tables`` returns) of the last scan.
+_scan_cache: tuple | None = None
+
+
+def _scan_tables(limit: int):
+    """``_power_tables(limit)``'s row image and powers, and the forms of its
+    third table, built once per ``quartic._tables()`` object and limit: a
+    swapped row or ``quartic.clear_caches()`` builds them anew."""
+    global _scan_cache
+    tables = quartic._tables()
+    cached = _scan_cache
+    if cached is None or cached[0] is not tables or cached[1] != limit:
+        row, powers = _power_tables(limit)
+        cached = _scan_cache = (tables, limit, (row, powers, _linear_forms(row, powers[2])))
+    return cached[2]
+
+
 def _scan_chunk(payload: tuple[int, list[Triple]]) -> list[Triple]:
     """The triples whose unit has c2 = c3 = 0 in the image (a superset of the hits)."""
     limit, triples = payload
-    row, (t0, t1, t2) = _power_tables(limit)
-    forms = _linear_forms(row, t2)
+    row, (t0, t1, _), forms = _scan_tables(limit)
     r0, r1, r2, r3 = row
     at = None  # the (r, s) whose image x holds
     found = []
@@ -321,11 +339,20 @@ class Certificate(NamedTuple):
 
 
 def _series_agree_on_common_window(a, b) -> bool:
+    """Equal coefficients at every exponent from the lower lead to the lower
+    order (False when that range is empty), compared as integer numerators:
+    each window's times the other's denominator, zero-padded to the range."""
     lo = min(a.lead, b.lead)
     hi = min(a.order, b.order)
     if hi <= lo:
         return False
-    return all(a.coeff_at(e) == b.coeff_at(e) for e in range(lo, hi))
+
+    def window(x, scale: int) -> list[int]:
+        k = min(x.lead, hi) - lo  # zeros before x's lead
+        n = [0] * k + [v * scale for v in x._w._n[: hi - lo - k]]
+        return n + [0] * (hi - lo - len(n))
+
+    return window(a, b._w._d) == window(b, a._w._d)
 
 
 #: The pinned leading coefficients of the four series roots: (lead, window).
@@ -531,9 +558,8 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
     check(
         "budget-box",
         f"{len(triples)} admissible triples at budget {budget}",
-        lambda: all(
-            max(abs(r), abs(s), abs(t)) <= budget for (r, s, t) in triples
-        ) and is_admissible(10, -10, 0) and budget_cost(-11, 0, 0) == 11,
+        lambda: max(map(abs, chain.from_iterable(triples)), default=0) <= budget
+        and is_admissible(10, -10, 0) and budget_cost(-11, 0, 0) == 11,
     )
 
     # The scan runs inside its check: a ring whose tables cannot be built

@@ -29,7 +29,7 @@ import property_suites
 from thueff import polynomials
 from thueff.bounds import discriminant, resultant
 from thueff.errors import UndefinedGcd, ZeroDivisor
-from thueff.laurent import LaurentSeries
+from thueff.laurent import LaurentSeries, quartic_roots
 from thueff.polynomials import (
     LAM,
     ONE,
@@ -364,6 +364,95 @@ def test_short_product_matches_sympy(monkeypatch):
     # both sides of the choice ran, and the packed side with odd and even n
     assert 10 < len(taken) < 90
     assert set(taken) == {0, 1}
+
+
+@st.composite
+def _parity_windows(draw):
+    """Two windows of up to 140 terms, each even (nonzero terms at even
+    indices only), odd, or dense, growing by g bits a term, and a cut n:
+    any n, or n = 2 ``_PACK_MIN`` - 1 or 2 ``_PACK_MIN``."""
+    g = draw(st.integers(0, 3))
+    odd = st.integers(-(2**40), 2**40).map(lambda v: 2 * v + 1)
+
+    def window():
+        kind = draw(st.sampled_from(("even", "odd", "even", "odd", "dense")))
+        size = draw(st.integers(1, 140))
+        vals = draw(st.lists(odd, min_size=size, max_size=size))
+        keep = {"even": lambda i: i % 2 == 0, "odd": lambda i: i % 2, "dense": lambda i: True}[kind]
+        return kind, [v << (g * i) if keep(i) else 0 for i, v in enumerate(vals)]
+
+    (ka, a), (kb, b) = window(), window()
+    edge = 2 * polynomials._PACK_MIN
+    n = draw(st.one_of(st.integers(-1, len(a) + len(b) + 1), st.sampled_from((edge - 1, edge))))
+    return ka, kb, a, b, n
+
+
+def test_parity_pure_short_product_matches_sympy(monkeypatch):
+    # an outside oracle for the half-length path: sympy's product over ZZ,
+    # cut to n terms.  The half path is seen as a nested ``_int_mul_low``
+    # call; it must run for even x even, odd x odd and even x odd, each
+    # with odd and with even n, from n = 2 _PACK_MIN on and not below
+    x = sympy.Symbol("x")
+    inner = polynomials._int_mul_low
+    depth, nested = [0], []
+
+    def counting(a, b, n):
+        if depth[0]:
+            nested.append(n)
+        depth[0] += 1
+        try:
+            return inner(a, b, n)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(polynomials, "_int_mul_low", counting)
+    halved, whole = set(), set()
+
+    def run(ka, kb, a, b, n):
+        nested.clear()
+        got = polynomials._int_mul_low(a, b, n)
+        if a and b:
+            prod = sympy.Poly(a[::-1], x, domain=sympy.ZZ) * sympy.Poly(b[::-1], x, domain=sympy.ZZ)
+            terms = [int(c) for c in reversed(prod.all_coeffs())]
+            terms += [0] * (len(a) + len(b) - 1 - len(terms))
+            assert got == terms[: max(n, 0)]
+        else:
+            assert got == []
+        if "dense" in (ka, kb) or not a or not b:
+            assert not nested
+            return
+        cut = min(n, len(a) + len(b) - 1)
+        (halved if nested else whole).add(cut)
+        if nested:
+            assert cut >= 2 * polynomials._PACK_MIN
+            halved.add((tuple(sorted((ka, kb))), cut % 2))
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(_parity_windows())
+    def check(case):
+        run(*case)
+
+    check()
+    edge = 2 * polynomials._PACK_MIN
+    rng = random.Random(20261020)
+    for ka, pa in (("even", 0), ("odd", 1)):
+        for kb, pb in (("even", 0), ("odd", 1)):
+            a, b = ([rng.randint(1, 2**60) if i % 2 == p else 0 for i in range(70)] for p in (pa, pb))
+            for n in (edge - 1, edge):
+                run(ka, kb, a, b, n)
+    for kinds in (("even", "even"), ("odd", "odd"), ("even", "odd")):
+        assert {(kinds, 0), (kinds, 1)} <= halved, kinds
+    assert edge in halved and edge - 1 in whole and edge - 1 not in halved
+
+
+def test_parity_pure_short_product_of_two_root_windows():
+    # the alpha2 and alpha4 windows are both even in 1/lam (the roots are
+    # odd in lam); their product at n = 131 takes the half path and equals
+    # the schoolbook's full product cut to 131 terms
+    roots = quartic_roots(136)
+    a, b = roots[1]._w._n, roots[3]._w._n
+    assert polynomials._parity(a[:131]) == polynomials._parity(b[:131]) == 0
+    assert _int_mul_low(a, b, 131) == _int_mul(a, b)[:131]
 
 
 @st.composite

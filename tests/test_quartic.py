@@ -15,6 +15,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 import conftest
 import property_suites
@@ -518,6 +521,71 @@ def test_image_kernels_match_the_oracle_on_large_numerators(monkeypatch, row):
         if row is REWRITE_ROW:
             assert norm(a) == ring_oracle.norm(a.coeffs)
         assert ring_inv(a).coeffs == ring_oracle.inv(a.coeffs)
+
+
+_SYM_LAM = sympy.Symbol("lam")
+_QQ_LAM = sympy.QQ.frac_field(_SYM_LAM)
+
+
+def _sym_fraction(n, d=(1,)):
+    """The Z[lam] lists n / d as an element of sympy's QQ(lam)."""
+    num, den = (sympy.Poly(list(x)[::-1] or [0], _SYM_LAM, domain=sympy.ZZ) for x in (n, d))
+    return _QQ_LAM.from_sympy(num.as_expr() / den.as_expr())
+
+
+@st.composite
+def _cramer_elements(draw):
+    """Numerators N0..N3 in Z[lam] of degree 0-8 (some zero, N0 never),
+    with coefficients of 1-256 bits, each list of one sign or alternating,
+    over D = 1 or a non-constant D."""
+    bits = draw(st.integers(1, 256))
+    size = st.integers(1 << (bits - 1), (1 << bits) - 1)
+
+    def numerator(may_vanish):
+        if may_vanish and draw(st.integers(0, 3)) == 0:
+            return []
+        degree = draw(st.integers(0, 8))
+        sign, alternate = draw(st.sampled_from((1, -1))), draw(st.booleans())
+        mags = draw(st.lists(size, min_size=degree + 1, max_size=degree + 1))
+        return [sign * (-1) ** (i * alternate) * m for i, m in enumerate(mags)]
+
+    nums = [numerator(k > 0) for k in range(4)]
+    if draw(st.booleans()):
+        den = [1]
+    else:
+        den = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lambda d: d[-1]))
+    return nums, den
+
+
+def test_cramer_against_sympy():
+    # an outside oracle for ``_cramer``: a * ring_inv(a) == 1, and norm(a)
+    # against sympy's Bareiss determinant (``ddm_idet``) of the matrix of
+    # multiplication by a over QQ(lam), whose column k is a * alpha^k
+    row = [_sym_fraction(r._n, r._d) for r in REWRITE_ROW]
+    zero, one = _QQ_LAM.zero, _QQ_LAM.one
+    times_alpha = [[zero] * 3 + [row[0]]] + [
+        [one if j == i - 1 else zero for j in range(3)] + [row[i]] for i in (1, 2, 3)
+    ]
+    seen = set()  # (non-constant D, coefficients above 128 bits)
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(_cramer_elements())
+    def check(case):
+        nums, den = case
+        a = quartic._canon([list(n) for n in nums], list(den))
+        assert ring_mul(ring_inv(a), a) == ONE
+        column = [_sym_fraction(n, den) for n in nums]
+        cols = []
+        for _ in range(4):
+            cols.append(column)
+            column = [sum((times_alpha[i][j] * column[j] for j in range(4)), zero) for i in range(4)]
+        matrix = DomainMatrix([[cols[k][i] for k in range(4)] for i in range(4)], (4, 4), _QQ_LAM)
+        got = norm(a)
+        assert matrix.to_dense().rep.det() == _sym_fraction(got._n, got._d)
+        seen.add((len(den) > 1, max(abs(v) for n in nums for v in n).bit_length() > 128))
+
+    check()
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 # -- randomized batteries at smoke size ------------------------------------------------

@@ -13,8 +13,11 @@ turns the checks that cannot evaluate to ERROR).
 """
 
 import random
+from fractions import Fraction
 
 import pytest
+
+import conftest
 
 from thueff import laurent, quartic, search, valuations
 from thueff.bounds import EXPONENT_BUDGET
@@ -144,6 +147,42 @@ def test_scan_refuses_a_rewrite_row_outside_z_lam(monkeypatch):
     monkeypatch.setattr(quartic, "REWRITE_ROW", row)
     with pytest.raises(NotMonic):
         search._scan_chunk((1, [(0, 0, 0)]))
+
+
+def test_scan_tables_are_built_once_per_ring_and_limit(monkeypatch):
+    # ``_power_tables`` runs once for two scans under one ring; a swapped
+    # REWRITE_ROW and ``quartic.clear_caches()`` each build the tables anew,
+    # and a scan from the kept tables keeps what a fresh build keeps
+    builds = []
+    build = search._power_tables
+
+    def counting(limit):
+        builds.append(limit)
+        return build(limit)
+
+    monkeypatch.setattr(search, "_power_tables", counting)
+    monkeypatch.setattr(search, "_scan_cache", None)
+    box = admissible_exponents(EXPONENT_BUDGET)
+    healthy = search._scan_chunk((EXPONENT_BUDGET, box))
+    assert search._scan_chunk((EXPONENT_BUDGET, box)) == healthy
+    assert builds == [EXPONENT_BUDGET]
+    quartic.clear_caches()
+    assert search._scan_chunk((EXPONENT_BUDGET, box)) == healthy
+    assert builds == [EXPONENT_BUDGET] * 2
+    tampered = (RatFunc(-2), RatFunc(-LAM), RatFunc(6), RatFunc(LAM))
+    for row in (tampered, quartic.REWRITE_ROW[:2] + quartic.REWRITE_ROW[2:]):
+        monkeypatch.setattr(quartic, "REWRITE_ROW", row)
+        del builds[:]
+        for budget in range(EXPONENT_BUDGET + 1):
+            limit, triples = max(budget, 1), admissible_exponents(budget)
+            kept = search._scan_chunk((limit, triples))
+            assert search._scan_chunk((limit, triples)) == kept
+            search._scan_cache = None
+            assert search._scan_chunk((limit, triples)) == kept, (row, budget)
+        # one build on the swap, then one per new limit and per fresh build
+        assert builds == [1, 1, 1] + [b for b in range(2, EXPONENT_BUDGET + 1) for _ in "ab"]
+    # the equal copy of the healthy row keeps the healthy survivors
+    assert kept == healthy
 
 
 # -- the search itself -----------------------------------------------------------------
@@ -294,6 +333,74 @@ def test_verifier_enumerates_the_box_once(monkeypatch):
     monkeypatch.setattr(search, "admissible_exponents", counting)
     assert verify_theorem().triples_searched == 3871
     assert len(calls) == 1
+
+
+def test_budget_box_turns_red_on_a_triple_outside_the_box(monkeypatch):
+    enumerate_box = search.admissible_exponents
+    monkeypatch.setattr(
+        search, "admissible_exponents", lambda budget: enumerate_box(budget) + [(11, -11, 0)]
+    )
+    with pytest.raises(ReproductionFailure) as exc_info:
+        verify_theorem()
+    cert = exc_info.value.certificate
+    assert "budget-box" in cert.failed_names
+    check = next(c for c in cert.checks if c.name == "budget-box")
+    assert check.detail == "3872 admissible triples at budget 10"
+
+
+def _agree_by_fractions(a, b):
+    """The common-window comparison one ``Fraction`` per exponent and side."""
+    lo, hi = min(a.lead, b.lead), min(a.order, b.order)
+    return hi > lo and all(a.coeff_at(e) == b.coeff_at(e) for e in range(lo, hi))
+
+
+def test_series_agree_on_common_window_pinned():
+    agree = search._series_agree_on_common_window
+    half = Fraction(1, 2)
+    # equal leads, one window longer: only the common range counts
+    a = laurent.LaurentSeries(-1, [1, 2, 3], 2)
+    assert agree(a, laurent.LaurentSeries(-1, [1, 2], 1))
+    assert agree(a, laurent.LaurentSeries(-1, [1, 2, 3, 4], 3))
+    # leads that differ: the lower lead's term meets a zero
+    assert not agree(a, laurent.LaurentSeries(0, [2, 3], 2))
+    assert not agree(laurent.LaurentSeries(0, [2, 3], 2), a)
+    assert not agree(laurent.monomial(2, 8), laurent.zero_to_order(8))
+    # unequal denominators, equal values on the common range
+    b = laurent.LaurentSeries(0, [half, 1, Fraction(1, 3)], 3)
+    c = laurent.LaurentSeries(0, [half, 1, Fraction(1, 3), Fraction(1, 7)], 4)
+    assert b._w._d != c._w._d and agree(b, c) and agree(c, b)
+    assert agree(b, laurent.LaurentSeries(0, [half, 1], 2))
+    # one coefficient changed at the last common exponent
+    assert not agree(b, laurent.LaurentSeries(0, [half, 1, Fraction(1, 3) + 1, 9], 4))
+    assert not agree(c, laurent.LaurentSeries(0, [half, 1, Fraction(1, 3) + half], 3))
+    # an empty common range never agrees
+    assert not agree(laurent.zero_to_order(3), laurent.zero_to_order(3))
+    assert not agree(laurent.LaurentSeries(4, [1], 5), laurent.zero_to_order(4))
+
+
+def test_series_agree_on_common_window_matches_fractions():
+    rng = random.Random(20261020)
+    for _ in range(400):
+        a = conftest.rand_series(rng)
+        b = conftest.rand_series(rng) if rng.randrange(3) else a
+        if rng.randrange(2):  # share a prefix, then differ or stop early
+            k = rng.randint(1, len(a.coeffs))
+            tail = [conftest.rand_fraction(rng) for _ in range(rng.randint(0, 3))]
+            b = laurent.LaurentSeries(a.lead, list(a.coeffs[:k]) + tail, a.lead + k + len(tail))
+        if rng.randrange(4) == 0:
+            b = b.truncate(rng.randint(b.lead - 2, b.order))
+        assert search._series_agree_on_common_window(a, b) == _agree_by_fractions(a, b), (a, b)
+    # the verifier's own operands at order 128
+    rows = valuations._root_powers(136)
+    roots = tuple(row[1].truncate(132) for row in rows)
+    det = valuations.root_difference_product(roots)
+    det_sq = det * det
+    disc = laurent.expand_ratfunc(RatFunc(4 * (LAM * LAM + 16) ** 3), det_sq.order)
+    assert search._series_agree_on_common_window(det_sq, disc) is True
+    assert _agree_by_fractions(det_sq, disc)
+    last = min(det_sq.order, disc.order) - 1
+    bumped = disc + laurent.monomial(last, disc.order)
+    assert search._series_agree_on_common_window(det_sq, bumped) is False
 
 
 def test_verifier_lifts_the_series_roots_once(monkeypatch):
