@@ -202,8 +202,12 @@ def ring_mul(a: RingElem, b: RingElem) -> RingElem:
     return _canon([_digits(v, bits) for v in _image_mul(x, y, row)], _int_mul(a._d, b._d))
 
 
-def _cramer(a: RingElem) -> tuple[list[IntList], IntList]:
-    """First-row cofactors and determinant of the integer matrix of multiplication by a.
+def _cramer(a: RingElem) -> tuple[int, tuple[int, int, int, int], int]:
+    """First-row cofactors and determinant of the integer matrix of
+    multiplication by a, as (bits, cofactor images, determinant image):
+    each image is worth its Z[lam] list at lam = 2^bits, read back by
+    ``_digits(image, bits)`` -- ``ring_inv`` reads all five, ``norm`` the
+    determinant only.
 
     Column k of the matrix is a*alpha^k = cols[k] / D.  The cofactors C_0k
     expand along the second row over the six 2x2 minors of the last two
@@ -225,7 +229,7 @@ def _cramer(a: RingElem) -> tuple[list[IntList], IntList]:
         -r1[0] * m12 + r1[1] * m02 - r1[2] * m01,
     )
     det = r0[0] * cof[0] + r0[1] * cof[1] + r0[2] * cof[2] + r0[3] * cof[3]
-    return [_digits(c, bits) for c in cof], _digits(det, bits)
+    return bits, cof, det
 
 
 def ring_inv(a: RingElem) -> RingElem:
@@ -236,10 +240,10 @@ def ring_inv(a: RingElem) -> RingElem:
     """
     if not a:
         raise ZeroDivisor("inverse of zero in the quartic ring")
-    cof, det = _cramer(a)
+    bits, cof, det = _cramer(a)
     if not det:
         raise SingularSystem("singular 4x4 system in ring inversion")
-    return _canon([_int_mul(a._d, c) for c in cof], det)
+    return _canon([_int_mul(a._d, _digits(c, bits)) for c in cof], _digits(det, bits))
 
 
 def ring_pow(a: RingElem, n: int) -> RingElem:
@@ -277,10 +281,11 @@ def galois(a: RingElem, i: int) -> RingElem:
 
 def norm(a: RingElem) -> RatFunc:
     """N(a) = det(x -> a*x) over Q(lam): the integer determinant over D^4."""
+    bits, _, det = _cramer(a)
     d2 = _int_mul(a._d, a._d)
     # Built as det * (1/D^4) through RatFunc.__mul__: perfbench's tracer test
     # counts that ratfunc_mul (pinned in test_tooling_contract).
-    return RatFunc._of(_cramer(a)[1], [1]) * RatFunc._of([1], _int_mul(d2, d2))
+    return RatFunc._of(_digits(det, bits), [1]) * RatFunc._of([1], _int_mul(d2, d2))
 
 
 def elem_from_xy(x: Poly, y: Poly) -> RingElem:

@@ -26,6 +26,7 @@ check uses.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -49,7 +50,14 @@ def is_admissible(r: int, s: int, t: int, budget: int = bounds.EXPONENT_BUDGET) 
 
 
 def admissible_exponents(budget: int = bounds.EXPONENT_BUDGET) -> list[Triple]:
-    """All admissible triples, lexicographically ordered.
+    """All admissible triples, lexicographically ordered, as a new list
+    (``_box`` enumerates them once per budget)."""
+    return list(_box(budget))
+
+
+@lru_cache(maxsize=None)
+def _box(budget: int) -> tuple[Triple, ...]:
+    """The admissible triples at ``budget``, lexicographically ordered.
 
     The budget caps |r|, |s|, |t| individually (each coordinate is at most
     the cost), so (r, s) ranges over the square of side 2*budget+1.  For
@@ -69,7 +77,7 @@ def admissible_exponents(budget: int = bounds.EXPONENT_BUDGET) -> list[Triple]:
             u = r + s
             if c >= max(0, u):
                 out.extend((r, s, t) for t in range(-c, c - u + 1))
-    return out
+    return tuple(out)
 
 
 # -- the scan: an integer image of the exact ring ---------------------------------
@@ -163,19 +171,20 @@ def _scan_chunk(payload: tuple[int, list[Triple]]) -> list[Triple]:
     limit, triples = payload
     row, (t0, t1, _), forms = _scan_tables(limit)
     r0, r1, r2, r3 = row
-    at = None  # the (r, s) whose image x holds
+    at_r = at_s = None  # the (r, s) whose image x0..x3 holds
     found = []
     for r, s, t in triples:
-        if at != (r, s):
-            if at == (r, s - 1):
-                x = (x3 * r0, x0 + x3 * r1, x1 + x3 * r2, x2 + x3 * r3)  # x * alpha
+        if s != at_s or r != at_r:
+            if r == at_r and s == at_s + 1:  # x * alpha
+                x0, x1, x2, x3 = x3 * r0, x0 + x3 * r1, x1 + x3 * r2, x2 + x3 * r3
             else:
-                x = quartic._image_mul(t0[r], t1[s], row)
-            at = (r, s)
-        x0, x1, x2, x3 = x
-        (a0, a1, a2, a3), (b0, b1, b2, b3) = forms[t]
+                x0, x1, x2, x3 = quartic._image_mul(t0[r], t1[s], row)
+            at_r, at_s = r, s
+        c2, c3 = forms[t]
+        a0, a1, a2, a3 = c2
         if x0 * a0 + x1 * a1 + x2 * a2 + x3 * a3:
             continue
+        b0, b1, b2, b3 = c3
         if x0 * b0 + x1 * b1 + x2 * b2 + x3 * b3:
             continue
         found.append((r, s, t))

@@ -18,6 +18,18 @@ the products aligned by lead over one common denominator -- builds one
 series from the sum and divides by the denominator D once: no ``RatFunc``
 and no intermediate series is formed on the way.
 
+The product of the six differences dij = roots[j] - roots[i] of the roots
+(S1, S2, S3, S4) is formed in pairs, (d01 d23)(d03 d12) times d02 d13,
+because each pair is odd or even in t = 1/lam.  S2 and S4 = -1/S2 are odd
+in lam, and S3 = (S2 - 1)/(S2 + 1), S1 = -1/S3, so lam -> -lam sends
+(S1, S2, S3, S4) to (-S3, -S2, -S1, -S4): d02 is even, d13 odd, and
+d01 d23 goes to -d12 d03.  S1 S3 = S2 S4 = -1 and e2 = -6 give
+(S1 + S3)(S2 + S4) = -4, so d01 d23 = -2 - S1 S4 - S2 S3 = d03 d12, and
+that pair is odd.  Of the five products at the verifier's order-128 depth
+only the two that form the first two pairs are dense; the other three
+multiply parity-pure windows, on ``_int_mul_low``'s half-length path or
+by the schoolbook loop that skips their zeros.
+
 Substituting a truncated root series can only vanish to finite order for
 a nonzero element, so leads are resolved by adaptive doubling of the
 working order, always starting at ``DEFAULT_ORDER`` and giving up (with
@@ -154,13 +166,19 @@ class VandermondeReport(NamedTuple):
 
 
 def root_difference_product(roots) -> LaurentSeries:
-    """prod_{i<j} (roots[j] - roots[i]), multiplied in index order."""
-    prod = None
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            d = roots[j] - roots[i]
-            prod = d if prod is None else prod * d
-    return prod
+    """prod_{i<j} (roots[j] - roots[i]) of four roots, formed in pairs as
+    (d01 d23)(d03 d12) times d02 d13, with dij = roots[j] - roots[i].
+
+    A series product is known to the sum of the leads plus the shortest
+    factor's window, whatever the grouping, so the result is the index-order
+    product's (lead, window, order) for any four roots.  The grouping pays
+    off on the series roots (module docstring): each pair is odd or even in
+    t = 1/lam, and so is every product of pairs.
+    """
+    if len(roots) != 4:
+        raise ValueError(f"root difference product needs four roots, got {len(roots)}")
+    r0, r1, r2, r3 = roots
+    return ((r1 - r0) * (r3 - r2)) * ((r3 - r0) * (r2 - r1)) * ((r2 - r0) * (r3 - r1))
 
 
 def _vandermonde_products(order: int) -> list[LaurentSeries]:

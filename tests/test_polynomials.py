@@ -717,6 +717,65 @@ def test_gcd_retries_after_an_unlucky_first_point(monkeypatch):
     assert poly_gcd(Poly(a), Poly(b)) == euclid_gcd_reference(Poly(a), Poly(b))
 
 
+@st.composite
+def _gcd_cases(draw):
+    """(a, b, d): integer lists of degree 0-16 with 1-512-bit coefficients,
+    each of one sign or alternating, often sharing a planted factor of large
+    content, and a candidate divisor d of a that may or may not divide."""
+    bits = draw(st.integers(1, 512))
+    size = st.integers(1 << (bits - 1), (1 << bits) - 1)
+
+    def poly(max_degree, content=1):
+        degree = draw(st.integers(0, max_degree))
+        sign, alternate = draw(st.sampled_from((1, -1))), draw(st.booleans())
+        mags = draw(st.lists(st.one_of(size, st.just(0)), min_size=degree, max_size=degree))
+        mags.append(draw(size))  # a nonzero lead
+        return [content * sign * (-1) ** (i * alternate) * m for i, m in enumerate(mags)]
+
+    if draw(st.booleans()):
+        g = poly(8, content=draw(st.integers(1, 1 << 200)))
+        a, b = _int_mul(g, poly(8)), _int_mul(g, poly(8))
+    else:
+        g, a, b = [1], poly(16), poly(16)
+    d = _int_mul(g, [draw(st.integers(-3, 3)), 1]) if draw(st.booleans()) else poly(4)
+    return a, b, d
+
+
+def test_int_gcd_and_exquo_match_sympy():
+    # an outside oracle for ``_int_gcd`` and ``_int_exquo``: sympy's gcd and
+    # exact quotient over ZZ; sympy's gcd keeps the common integer content,
+    # ``_int_gcd``'s g is its primitive part
+    x = sympy.Symbol("x")
+
+    def sym(n):
+        return sympy.Poly(n[::-1], x, domain=sympy.ZZ)
+
+    seen = set()  # (a planted factor of positive degree, d divides a)
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(_gcd_cases())
+    def check(case):
+        a, b, d = case
+        g, qa, qb = _int_gcd(a, b)
+        sa, sb = sym(a), sym(b)
+        sg = sa.gcd(sb).primitive()[1]
+        assert sym(g) == sg and g[-1] > 0
+        assert sym(qa) == sa.exquo(sg, auto=False) and sym(qb) == sb.exquo(sg, auto=False)
+        try:
+            want = sa.exquo(sym(d), auto=False)
+        except sympy.polys.polyerrors.ExactQuotientFailed:
+            with pytest.raises(ValueError):
+                _int_exquo(a, d)
+            divides = False
+        else:
+            assert sym(_int_exquo(a, d)) == want
+            divides = True
+        seen.add((len(g) > 1, divides))
+
+    check()
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_canon_divides_out_only_the_factor_every_entry_shares():
     # D = 6 (lam + 1)(lam - 2)(lam^2 + 3): lam - 2 divides N1 only and
     # lam^2 + 3 divides N0 only, lam + 1 divides every nonzero entry.

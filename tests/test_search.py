@@ -90,6 +90,20 @@ def test_admissible_smaller_budgets_nest():
         assert set(admissible_exponents(budget)) <= big
 
 
+def test_admissible_box_is_a_new_list_on_every_call():
+    # the box is enumerated once per budget; a caller that edits its list
+    # edits its own copy, never the next caller's
+    for budget in (0, 3, 10):
+        first = admissible_exponents(budget)
+        first.append((99, 99, 99))
+        first[0] = (-99, -99, -99)
+        again = admissible_exponents(budget)
+        assert again is not first
+        assert again == brute_force_box(budget), budget
+    with pytest.raises(ValueError):
+        admissible_exponents(-1)
+
+
 # -- the integer image used by the scan ----------------------------------------------
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import conftest
 import property_suites
-from thueff import quartic, valuations
+from thueff import polynomials, quartic, valuations
 from thueff.bounds import f_lambda_discriminant
 from thueff.errors import PrecisionUnderflow, ZeroElement
 from thueff.laurent import expand_ratfunc, poly_series, quartic_roots
@@ -51,6 +51,78 @@ def test_vandermonde_accounts_for_half_the_discriminant():
 def test_vandermonde_pinned():
     assert vandermonde_report().vector == ValuationVector((-3, -3, -3, -3))
     assert vandermonde_report().leading_coeff == Fraction(-2)
+
+
+def _index_order_product(roots):
+    """prod_{i<j} (roots[j] - roots[i]), multiplied in index order."""
+    prod = None
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            d = roots[j] - roots[i]
+            prod = d if prod is None else prod * d
+    return prod
+
+
+@pytest.mark.parametrize("order", [8, 16, 64, 128, 256])
+def test_root_difference_product_in_pairs_is_the_index_order_product(order):
+    # the pairs regroup the same six factors: (lead, window, order) agree
+    # with an index-order loop, for every rotation and with truncated roots,
+    # all cut alike or each one differently
+    full = quartic_roots(order)
+    cuts = (
+        full,
+        tuple(s.truncate(order - 4) for s in full),
+        tuple(s.truncate(order - 1) for s in full),
+        tuple(s.truncate(order - k) for s, k in zip(full, (4, 1, 0, 1))),
+    )
+    for roots in cuts:
+        for k in range(4):
+            rotated = roots[k:] + roots[:k]
+            got = valuations.root_difference_product(rotated)
+            want = _index_order_product(rotated)
+            assert (got.lead, got._w, got.order) == (want.lead, want._w, want.order)
+
+
+def test_root_difference_pairs_are_parity_pure_at_the_verifier_depth(monkeypatch):
+    # the verifier's operands at order 128: each pair has a long odd or even
+    # window, and of the five products only the two that form the first two
+    # pairs see a dense operand; the other three take ``_int_mul_low``'s
+    # half-length path, seen as a nested call.  A grouping that loses that
+    # fails here instead of passing as a silent slowdown.
+    roots = tuple(row[1].truncate(128) for row in valuations._root_powers(132))
+    r0, r1, r2, r3 = roots
+    first, second, third = (r1 - r0) * (r3 - r2), (r3 - r0) * (r2 - r1), (r2 - r0) * (r3 - r1)
+    for pair in (first, second, third):
+        assert len(pair._w._n) >= 2 * polynomials._PACK_MIN
+        assert polynomials._parity(pair._w._n) is not None
+    assert first == second  # (a1 + a3)(a2 + a4) = -4 makes the first two pairs equal
+
+    calls, depth = [], [0]
+    mul_low = polynomials._int_mul_low
+
+    def recording(a, b, n):
+        if depth[0]:
+            calls[-1][1] = True
+        else:
+            calls.append([(a, b), False])
+        depth[0] += 1
+        try:
+            return mul_low(a, b, n)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(polynomials, "_int_mul_low", recording)
+    valuations.root_difference_product(roots)
+    pure = [all(polynomials._parity(x) is not None for x in ops) for ops, _ in calls]
+    assert pure == [False, False, True, True, True]
+    assert [halved for _, halved in calls] == pure
+
+
+def test_root_difference_product_takes_four_roots():
+    roots = quartic_roots(8)
+    for bad in (roots[:3], roots + roots[:1], ()):
+        with pytest.raises(ValueError, match="four roots"):
+            valuations.root_difference_product(bad)
 
 
 # -- fundamental-unit vectors --------------------------------------------------------
