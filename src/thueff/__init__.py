@@ -28,7 +28,7 @@ from .errors import (
     ZeroDivisor,
     ZeroElement,
 )
-from .laurent import LaurentSeries, expand_ratfunc, hensel_lift, quartic_roots
+from .laurent import LaurentSeries, expand_ratfunc, quartic_roots
 from .polynomials import LAM, Poly, RatFunc, poly_gcd
 from .quartic import (
     ALPHA,
@@ -90,7 +90,6 @@ __all__ = [
     "f_lambda_eval",
     "galois",
     "height_infinity",
-    "hensel_lift",
     "mason_abc_bound",
     "norm",
     "poly_gcd",

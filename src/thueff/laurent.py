@@ -1,4 +1,4 @@
-"""Truncated Laurent series at the infinite place, and series root lifting.
+"""Truncated Laurent series at the infinite place, and the quartic's series roots.
 
 Series live in Q((1/lam)): a value is a finite window of exactly known
 coefficients of descending powers of lam.  With t = 1/lam, a series is
@@ -29,17 +29,26 @@ The quartic
 
 has four roots in Q((1/lam)).  Substituting t = 1/lam and dividing by lam
 turns f into t*X**4 - X**3 - 6*t*X**2 + X + t, whose reduction at t = 0
-is X - X**3 with simple roots -1, 0, 1.  The root at 0 lifts to a unique
-series root alpha2 by Newton iteration with doubling precision
-(``hensel_lift``).  The other three form its orbit under the order-4
-Moebius symmetry sigma(z) = (z - 1)/(z + 1) of f: alpha3 = sigma(alpha2)
-has constant term -1, alpha4 = sigma(alpha3) = -1/alpha2 and
-alpha1 = sigma(alpha4) = -1/alpha3 has constant term 1 (``quartic_roots``).
+is X - X**3 with simple roots 1, 0, -1; each is the constant term of
+exactly one series root, alpha1, alpha2 and alpha3.  In the ring,
+(lam^2 + 16)(alpha^3 - alpha) = (1 + alpha^2) f'(alpha), and
+df/dlam = X - X^3, so differentiating f(alpha, lam) = 0 gives
+dalpha/dlam = (1 + alpha^2)/(lam^2 + 16): in t every root solves the
+Riccati equation -(1 + 16t^2) S' = 1 + S^2, and the three roots with a
+constant lead are integer recurrences from the seeds 1, 0 and -1
+(``_riccati``).  The fourth, alpha4 = -1/alpha2, is the image of alpha2
+under z -> -1/z, one of the order-4 Moebius symmetries
+sigma(z) = (z - 1)/(z + 1) of f (``quartic_roots``).  The roots lie in
+Z[[t]] (alpha4 in t^-1 Z[[t]]): the reduced quartic's X-derivative is 1
+at X = 0, so alpha2 lifts over Z[[t]], and alpha3 = sigma(alpha2) and
+alpha1 = -1/alpha3 divide by series with constant term +-1, units of
+Z[[t]].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional
 
 from .errors import PrecisionUnderflow, ZeroDivisor
@@ -298,65 +307,40 @@ def expand_ratfunc(f: RatFunc, order: int) -> LaurentSeries:
 # -- the quartic and its series roots ------------------------------------------
 
 
-def _f_tilde(x: LaurentSeries, order: int) -> tuple[LaurentSeries, LaurentSeries]:
-    """The reduced quartic and its X-derivative at X = x, t = 1/lam exact.
+def _riccati(seed: int, n: int) -> list[int]:
+    """The first ``n`` coefficients a_k of the root S = sum a_k t^k of
+    -(1 + 16t^2) S' = 1 + S^2 with a_0 = ``seed``:
 
-    Returns (t*X^4 - X^3 - 6t*X^2 + X + t, 4t*X^3 - 3*X^2 - 12t*X + 1),
-    both from one set of powers of x.
+        (k+1) a_{k+1} = -([k=0] + sum_{i+j=k} a_i a_j + 16(k-1) a_{k-1}).
+
+    The division is exact for the seeds 1, 0 and -1: each gives a root of
+    the quartic (module docstring), which lies in Z[[t]], and the
+    recurrence fixes a_{k+1} from a_0..a_k, so by induction every a_{k+1}
+    is that integer.  The convolution runs over its symmetric half; n >= 2.
     """
-    t = monomial(1, order + 8)
-    x2 = x * x
-    x3 = x2 * x
-    f = (t * (x2 * x2)) - x3 - (t * x2).scale(6) + x + t
-    df = (t * x3).scale(4) - x2.scale(3) - (t * x).scale(12) + constant(1, order + 8)
-    return f, df
-
-
-def hensel_lift(order: int) -> LaurentSeries:
-    """Lift the simple root 0 of X - X^3 to the series root alpha2.
-
-    Newton iteration in Q[[1/lam]], doubling the working precision each
-    step; the result is the unique series root with constant term 0,
-    exactly known below exponent ``order``.
-    """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    x = zero_to_order(1)
-    prec = 1
-    while prec < order:
-        prec = min(2 * prec, order)
-        # The iterate is an exact Laurent polynomial: extend its window.
-        xe = _series(x.lead, x._w, prec)
-        f, df = _f_tilde(xe, prec)
-        x = (xe - f * df.inv()).truncate(prec)
-    return x
+    a = [seed, -1 - seed * seed]
+    for k in range(1, n - 1):
+        h = (k + 1) // 2
+        rhs = 2 * sum(map(mul, a[:h], a[k:k - h:-1])) + 16 * (k - 1) * a[k - 1]
+        if k % 2 == 0:
+            rhs += a[h] * a[h]
+        a.append(-rhs // (k + 1))
+    return a
 
 
 def quartic_roots(order: int) -> tuple[LaurentSeries, ...]:
     """All four series roots, each known through exponent ``order - 1``.
 
-    One lift gives alpha2; alpha3 = (alpha2 - 1)/(alpha2 + 1),
-    alpha4 = -1/alpha2 and alpha1 = -1/alpha3 complete its orbit under
-    sigma.  The lift runs two orders deeper because inverting the lead-1
-    window alpha2 costs two orders of knowledge.
+    alpha1, alpha2 and alpha3 are the Riccati windows with constant terms
+    1, 0 and -1; alpha4 = -1/alpha2.  The windows run two orders deeper
+    because inverting the lead-1 window alpha2 costs two orders of
+    knowledge.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     deep = order + 2
-    r2 = hensel_lift(deep)
-    one = constant(1, deep)
-    r3 = (r2 - one) * (r2 + one).inv()
-    r1 = -(r3.inv())
-    r4 = -(r2.inv())
-    roots = tuple(s.truncate(order) for s in (r1, r2, r3, r4))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if (roots[i] - roots[j]).resolved:
-                continue
-            raise PrecisionUnderflow(
-                f"roots {i + 1} and {j + 1} indistinguishable at order {order}"
-            )
-    return roots
+    r1, r2, r3 = (_series(0, Poly._of(_riccati(c, deep), 1), deep) for c in (1, 0, -1))
+    return r1.truncate(order), r2.truncate(order), r3.truncate(order), -r2.inv()
 
 
 def f_lambda_at_series(

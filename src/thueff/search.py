@@ -401,7 +401,7 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
     alpha = quartic.ALPHA
 
     # Series roots match the pinned expansions.  They come truncated from the
-    # valuation table at the Siegel check's depth (deeper lifts agree).
+    # valuation table at the Siegel check's depth (deeper tables agree).
     depth = max(order, 4) + 4
     rows = valuations._root_powers(depth)
     roots = tuple(row[1].truncate(depth - 4) for row in rows)
@@ -452,19 +452,19 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
 
     def galois_composes() -> bool:
         sample = quartic.RingElem(1 + 2 * LAM, 3, LAM, 7)
-        for i in (1, 2, 3, 4):
-            for j in (1, 2, 3, 4):
-                k = ((i - 1) + (j - 1)) % 4 + 1
-                if quartic.galois(quartic.galois(sample, i), j) != quartic.galois(sample, k):
-                    return False
-        return True
+        images = [quartic.galois(sample, i) for i in (1, 2, 3, 4)]
+        return all(
+            quartic.galois(images[i], j + 1) == images[(i + j) % 4]
+            for i in range(4)
+            for j in range(4)
+        )
 
     check("galois-composition", "sigma_i . sigma_j = sigma_(i+j-1)", galois_composes)
 
     def siegel_holds() -> bool:
         # The identity is checked in the series domain: the b_i come from
         # the ring-side Galois action, the root differences from the
-        # independent Laurent lift.  (The pure in-ring sum telescopes to
+        # independent series roots.  (The pure in-ring sum telescopes to
         # zero under any rewrite row whatsoever, so it certifies nothing;
         # only this mixed form can certify that the ring tables match the
         # actual roots.)

@@ -7,7 +7,7 @@ each embedding, measured in units of ``a`` = deg(lam(T)); with lam of
 degree ``a`` in the ground variable, an entry w means actual valuation
 w*a.  Heights come from the negative part: H(z) = -sum(min(0, w_i)).
 
-The series roots are lifted here and nowhere else in the verify
+The series roots are computed here and nowhere else in the verify
 pipeline: ``_root_powers(order)`` holds them with their squares and
 cubes, cached per order, and the embeddings, the Vandermonde check and
 ``search.verify_theorem`` all read that one table (and form root
@@ -181,20 +181,20 @@ def root_difference_product(roots) -> LaurentSeries:
     return ((r1 - r0) * (r3 - r2)) * ((r3 - r0) * (r2 - r1)) * ((r2 - r0) * (r3 - r1))
 
 
-def _vandermonde_products(order: int) -> list[LaurentSeries]:
-    roots = [row[1] for row in _root_powers(order)]
-    return [root_difference_product(roots[k:] + roots[:k]) for k in range(4)]
-
-
 def vandermonde_report() -> VandermondeReport:
     """Valuations of prod_{i<j} (root_j - root_i) under each embedding.
 
-    The k-th embedding permutes the roots cyclically, so each entry is
-    the lead of the same product with rotated root indices.
+    The k-th embedding rotates the root indices by k, and a rotation by k
+    is the k-th power of a 4-cycle, an odd permutation of the roots: it
+    permutes the six differences and negates an odd number of them exactly
+    when k is odd.  So the four images are (-1)^k times one product, and
+    its lead is every entry of the vector.
     """
-    products = _resolve(_vandermonde_products, "Vandermonde")
-    vec = ValuationVector(tuple(p.lead for p in products))
-    return VandermondeReport(vec, products[0].leading_coeff)
+    (product,) = _resolve(
+        lambda order: [root_difference_product([row[1] for row in _root_powers(order)])],
+        "Vandermonde",
+    )
+    return VandermondeReport(ValuationVector((product.lead,) * 4), product.leading_coeff)
 
 
 def clear_caches() -> None:

@@ -130,6 +130,8 @@ GOLDEN_STDOUT = {
     "roots --order 16": "a480d40cb7705554c3a15e3b9c8597c8558783f50e9094e841651c9a3f0eb6d7",
     "roots --order 16 --format json":
         "20d3a5ba491a1678234690ed0eb96b88df430815d6c15ca68d5c25294359747b",
+    "roots --order 132 --format json":
+        "d06d8568736b1d6003a44750ce6367fa64ca8b545604a0102a2f9d343e8e1556",
     "bounds --a 3": "387f48733c39119bd5f1659c43e489f824c03ba41226c4b208bfdac5700131ca",
     "bounds --a 3 --format json":
         "e819aaf656550915bd4e69c45cf685fc0745dd0f41273a1ad731e4c17b194d60",

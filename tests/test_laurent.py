@@ -3,7 +3,7 @@
 Two independent oracles: plain Fraction-tuple windows with the truncated
 convolution and the inverse recurrence (a cross-check of the series
 arithmetic on ``Poly``'s integer kernel and its short products), and the
-defining equation itself: every lifted root is substituted back into the
+defining equation itself: every series root is substituted back into the
 quartic, on the series kernel and on the Fraction windows, and the
 residual must be zero through the advertised precision. Pinned windows
 cover the geometric series, the four root expansions, rational-function
@@ -22,9 +22,7 @@ from thueff.errors import PrecisionUnderflow, ZeroDivisor
 from thueff.laurent import (
     LaurentSeries,
     expand_ratfunc,
-    _f_tilde,
     f_lambda_at_series,
-    hensel_lift,
     monomial,
     poly_series,
     quartic_roots,
@@ -250,7 +248,7 @@ def test_expand_matches_defining_product_random():
         assert not (back - num).resolved
 
 
-# -- Hensel lifting and the four roots ---------------------------------------------
+# -- the four roots -----------------------------------------------------------------
 
 
 def test_root_at_one_window():
@@ -258,7 +256,7 @@ def test_root_at_one_window():
 
 
 def test_lift_at_seed_zero():
-    assert hensel_lift(4) == LaurentSeries(1, [-1, 0, 5], 4)
+    assert quartic_roots(4)[1] == LaurentSeries(1, [-1, 0, 5], 4)
 
 
 def test_root_at_minus_one_window():
@@ -267,28 +265,32 @@ def test_root_at_minus_one_window():
 
 def test_lift_rejects_bad_order():
     with pytest.raises(ValueError):
-        hensel_lift(0)
+        quartic_roots(0)
 
 
 def test_orbit_roots_are_the_lifts_at_plus_and_minus_one():
-    """alpha1 and alpha3, built from alpha2 by sigma, are the seed-(+-1) roots.
+    """alpha1 and alpha3 are the series roots with constant terms 1 and -1.
 
     Hensel uniqueness: X - X^3 has the simple roots 1 and -1, so for each
-    there is exactly one series root of the reduced quartic f~ with lead 0
-    and that constant term, and any window with that constant term on
-    which f~ vanishes to the window's order is a truncation of it.  The
-    derivative f~' reduces to 1 - 3X^2, whose value -2 at X = +-1 is the
-    nonzero that makes the root simple.
+    there is exactly one series root of f with lead 0 and that constant
+    term, and any window with that constant term on which f vanishes to
+    the window's order (less the one order the factor lam costs) is a
+    truncation of it.  f' = 4X^3 - 3 lam X^2 - 12X + lam has lead -2 lam
+    at X = +-1: the nonzero that makes the root simple.
     """
     for order in (1, 2, 3, 5, 8, 13, 21, 34, 64):
         r1, _, r3, _ = quartic_roots(order)
+        lam = monomial(-1, order + 8)
         for s, c0 in ((r1, 1), (r3, -1)):
             assert s.lead == 0 and s.order == order
             assert s.coeff_at(0) == c0
-            f, df = _f_tilde(s, s.order)
+            s2 = s * s
+            s3 = s2 * s
+            f = f_lambda_at_series(s, s2, s3)
             assert not f.resolved
-            assert f.order >= order
-            assert df.lead == 0 and df.coeff_at(0) == -2
+            assert f.order >= order - 1
+            df = s3.scale(4) - (lam * s2).scale(3) - s.scale(12) + lam
+            assert df.lead == -1 and df.coeff_at(-1) == -2
 
 
 def test_roots_low_order_windows():
@@ -309,17 +311,14 @@ def test_roots_pairwise_distinct_at_order_one():
 def test_root_residuals_vanish_to_precision():
     for order in (4, 8, 16):
         for s in quartic_roots(order):
-            tilde, _ = _f_tilde(s, s.order)
             s2 = s * s
             full = f_lambda_at_series(s, s2, s2 * s)
-            assert not tilde.resolved
-            assert tilde.order >= order - 2
             assert not full.resolved
             assert full.order >= order - 3
 
 
 def test_root_residuals_vanish_in_the_fraction_reference():
-    # The lift and the orbit run on the series kernel; the residual here
+    # The roots come from the series kernel; the residual here
     # runs on the Fraction-window reference alone, so a fault in the
     # series product cannot hide itself.
     order = 64
@@ -338,6 +337,21 @@ def test_root_residuals_vanish_in_the_fraction_reference():
         # factor lam and the powers of the lead -1 root bring down by at most 3
         assert x4[1] and f == (f[2], (), f[2])
         assert f[2] >= order - 3
+
+
+def test_riccati_recurrence_holds_exactly_on_the_integer_windows():
+    # (k+1) a_{k+1} = -([k=0] + sum_{i+j=k} a_i a_j + 16(k-1) a_{k-1}) for
+    # alpha1, alpha2, alpha3 as equalities of integers, the convolution in
+    # full: a floor-divided step with a remainder would break one of them.
+    n = 256
+    for s in quartic_roots(n)[:3]:
+        a = [s.coeff_at(k) for k in range(n)]
+        assert all(c.denominator == 1 for c in a)
+        for k in range(n - 1):
+            rhs = (k == 0) + sum(a[i] * a[k - i] for i in range(k + 1))
+            if k:
+                rhs += 16 * (k - 1) * a[k - 1]
+            assert (k + 1) * a[k + 1] == -rhs, k
 
 
 def test_lift_prefixes_are_stable():

@@ -59,6 +59,18 @@ def test_min_poly_kills_alpha():
     assert min_poly_value(ALPHA) == ZERO
 
 
+def test_roots_solve_the_riccati_equation_in_the_ring():
+    # (lam^2 + 16)(alpha^3 - alpha) = (1 + alpha^2) f'(alpha): with
+    # df/dlam = X - X^3 it gives dalpha/dlam = (1 + alpha^2)/(lam^2 + 16),
+    # the equation ``laurent`` reads its series roots from.
+    a2 = ring_mul(ALPHA, ALPHA)
+    a3 = ring_mul(a2, ALPHA)
+    deriv = a3 * 4 - ring_mul(RingElem(LAM_RF), a2) * 3 - ALPHA * 12 + RingElem(LAM_RF)
+    left = ring_mul(RingElem(LAM_RF * LAM_RF + 16), a3 - ALPHA)
+    assert left == ring_mul(ONE + a2, deriv)
+    assert left != ZERO
+
+
 def test_identity_element():
     rng = random.Random(20260821)
     for _ in range(50):

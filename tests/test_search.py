@@ -419,22 +419,42 @@ def test_series_agree_on_common_window_matches_fractions():
 
 def test_verifier_lifts_the_series_roots_once(monkeypatch):
     # The verifier and every valuation check read one root table: a cold
-    # run makes one Hensel lift for each of its two table orders (12 and 8,
-    # lifted two orders deeper), a warm run none.
-    lifts = []
-    original = laurent.hensel_lift
+    # run computes the roots once for each of its two table orders (12 and
+    # 8), a warm run not at all.
+    orders = []
+    original = valuations.quartic_roots
 
     def counting(order):
-        lifts.append(order)
+        orders.append(order)
         return original(order)
 
-    monkeypatch.setattr(laurent, "hensel_lift", counting)
+    monkeypatch.setattr(valuations, "quartic_roots", counting)
     valuations.clear_caches()
     verify_theorem()
-    assert lifts == [14, 10]
-    lifts.clear()
+    assert orders == [12, 8]
+    orders.clear()
     verify_theorem()
-    assert lifts == []
+    assert orders == []
+
+
+def test_galois_composition_forms_each_image_once(monkeypatch):
+    # The check forms the 4 images sigma_i(sample) and their 16
+    # compositions: 20 calls of ``galois`` for the 16 comparisons.  Calls on
+    # other elements (the Siegel check's) are not counted.
+    sample = quartic.RingElem(1 + 2 * LAM, 3, LAM, 7)
+    original = quartic.galois
+    mine = {sample} | {original(sample, i) for i in (1, 2, 3, 4)}
+    calls = []
+
+    def counting(a, i):
+        if a in mine:
+            calls.append(i)
+        return original(a, i)
+
+    monkeypatch.setattr(quartic, "galois", counting)
+    cert = verify_theorem()
+    assert {c.name: c.status for c in cert.checks}["galois-composition"] == "PASS"
+    assert sorted(calls) == sorted([1, 2, 3, 4] * 5)
 
 
 def test_tampered_square_row_is_caught_at_the_residual_check(monkeypatch):

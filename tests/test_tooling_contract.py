@@ -55,10 +55,9 @@ def test_private_tables_and_caches_exist():
 
 def test_laurent_entry_points_take_order_by_name():
     # The tracer records ``laurent.max_order`` from the argument named
-    # ``order`` of these three functions, positional or keyword.
-    for name in ("quartic_roots", "hensel_lift", "expand_ratfunc"):
+    # ``order`` of these functions, positional or keyword.
+    for name in ("quartic_roots", "expand_ratfunc"):
         assert "order" in inspect.signature(getattr(laurent, name)).parameters, name
-    assert laurent.hensel_lift(order=3) == laurent.hensel_lift(3)
     assert laurent.quartic_roots(order=3) == laurent.quartic_roots(3)
 
 

@@ -53,6 +53,31 @@ def test_vandermonde_pinned():
     assert vandermonde_report().leading_coeff == Fraction(-2)
 
 
+@pytest.mark.parametrize("order", [8, 128])
+def test_rotated_vandermonde_products_are_one_product_up_to_sign(order):
+    # The k-th embedding rotates the roots by k, an odd permutation for odd
+    # k: the four products are (-1)^k times one series, so
+    # ``vandermonde_report`` reads one lead for all four entries.
+    roots = [row[1] for row in valuations._root_powers(order)]
+    product = valuations.root_difference_product(roots)
+    for k in range(4):
+        rotated = valuations.root_difference_product(roots[k:] + roots[:k])
+        assert rotated == (product if k % 2 == 0 else -product)
+
+
+def test_vandermonde_report_forms_one_product(monkeypatch):
+    calls = []
+    original = valuations.root_difference_product
+
+    def counting(roots):
+        calls.append(roots[0].order)
+        return original(roots)
+
+    monkeypatch.setattr(valuations, "root_difference_product", counting)
+    assert vandermonde_report().vector == ValuationVector((-3, -3, -3, -3))
+    assert calls == [valuations.DEFAULT_ORDER]
+
+
 def _index_order_product(roots):
     """prod_{i<j} (roots[j] - roots[i]), multiplied in index order."""
     prod = None
