@@ -36,9 +36,11 @@ df/dlam = X - X^3, so differentiating f(alpha, lam) = 0 gives
 dalpha/dlam = (1 + alpha^2)/(lam^2 + 16): in t every root solves the
 Riccati equation -(1 + 16t^2) S' = 1 + S^2, and the three roots with a
 constant lead are integer recurrences from the seeds 1, 0 and -1
-(``_riccati``).  The fourth, alpha4 = -1/alpha2, is the image of alpha2
-under z -> -1/z, one of the order-4 Moebius symmetries
-sigma(z) = (z - 1)/(z + 1) of f (``quartic_roots``).  The roots lie in
+(``_riccati``); the equation is invariant under S(t) -> -S(-t), so
+alpha3(t) = -alpha1(-t) and only two recurrences run.  The fourth,
+alpha4 = -1/alpha2, is the image of alpha2 under z -> -1/z, one of the
+order-4 Moebius symmetries sigma(z) = (z - 1)/(z + 1) of f
+(``quartic_roots``).  The roots lie in
 Z[[t]] (alpha4 in t^-1 Z[[t]]): the reduced quartic's X-derivative is 1
 at X = 0, so alpha2 lifts over Z[[t]], and alpha3 = sigma(alpha2) and
 alpha1 = -1/alpha3 divide by series with constant term +-1, units of
@@ -331,15 +333,20 @@ def _riccati(seed: int, n: int) -> list[int]:
 def quartic_roots(order: int) -> tuple[LaurentSeries, ...]:
     """All four series roots, each known through exponent ``order - 1``.
 
-    alpha1, alpha2 and alpha3 are the Riccati windows with constant terms
-    1, 0 and -1; alpha4 = -1/alpha2.  The windows run two orders deeper
-    because inverting the lead-1 window alpha2 costs two orders of
-    knowledge.
+    alpha1 and alpha2 are the Riccati windows with constant terms 1 and 0.
+    The Riccati equation is invariant under S(t) -> -S(-t), which maps the
+    seed 1 to the seed -1, so alpha3(t) = -alpha1(-t): alpha1's window with
+    its even-index terms negated.  alpha4 = -1/alpha2.  The windows run two
+    orders deeper because inverting the lead-1 window alpha2 costs two
+    orders of knowledge.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     deep = order + 2
-    r1, r2, r3 = (_series(0, Poly._of(_riccati(c, deep), 1), deep) for c in (1, 0, -1))
+    a1 = _riccati(1, deep)
+    a3 = [-v for v in a1]
+    a3[1::2] = a1[1::2]
+    r1, r2, r3 = (_series(0, Poly._of(a, 1), deep) for a in (a1, _riccati(0, deep), a3))
     return r1.truncate(order), r2.truncate(order), r3.truncate(order), -r2.inv()
 
 

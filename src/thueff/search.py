@@ -467,18 +467,19 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
         # independent series roots.  (The pure in-ring sum telescopes to
         # zero under any rewrite row whatsoever, so it certifies nothing;
         # only this mixed form can certify that the ring tables match the
-        # actual roots.)
+        # actual roots.)  One sum G certifies every linear beta at once:
+        # ``galois`` and ``embed_series`` are Q(lam)-linear and fix
+        # constants, so for b_i = sigma_i(x - alpha*y) the sum
+        # sum_i embed_1(b_i)*diff_i is x*sum_i diff_i - y*G with
+        # G = sum_i embed_1(sigma_i(alpha))*diff_i, and sum_i diff_i
+        # telescopes to exactly zero.  So the sum vanishes for every x and
+        # every y != 0 iff G does.
         diffs = (roots[1] - roots[2], roots[2] - roots[0], roots[0] - roots[1])
-        for x, y in ((3, 1), (LAM, 2), (1 + LAM, LAM**2)):
-            beta = quartic.elem_from_xy(x, y)
-            b = [quartic.galois(beta, i) for i in (1, 2, 3)]
-            series = None
-            for bi, diff in zip(b, diffs):
-                term = valuations.embed_series(bi, 1, depth) * diff
-                series = term if series is None else series + term
-            if series.resolved:
-                return False
-        return True
+        g = None
+        for i, diff in zip((1, 2, 3), diffs):
+            term = valuations.embed_series(quartic.galois(alpha, i), 1, depth) * diff
+            g = term if g is None else g + term
+        return not g.resolved
 
     check("siegel-identity", "b1(a2-a3) + b2(a3-a1) + b3(a1-a2) = 0", siegel_holds)
 

@@ -21,6 +21,7 @@ import property_suites
 from thueff.errors import PrecisionUnderflow, ZeroDivisor
 from thueff.laurent import (
     LaurentSeries,
+    _riccati,
     expand_ratfunc,
     f_lambda_at_series,
     monomial,
@@ -352,6 +353,20 @@ def test_riccati_recurrence_holds_exactly_on_the_integer_windows():
             if k:
                 rhs += 16 * (k - 1) * a[k - 1]
             assert (k + 1) * a[k + 1] == -rhs, k
+
+
+@pytest.mark.parametrize("order", [132, 512])
+def test_root_at_minus_one_is_the_reflected_root_at_one(order):
+    # -(1 + 16t^2) S' = 1 + S^2 is invariant under S(t) -> -S(-t), which
+    # sends the seed 1 to the seed -1: alpha3(t) = -alpha1(-t), alpha1's
+    # window with its even-index terms negated.  The seed -1 is run here
+    # as a recurrence of its own.
+    r1, _, r3, _ = quartic_roots(order)
+    assert r1.lead == r3.lead == 0 and r1.order == r3.order == order
+    a1 = [r1.coeff_at(k) for k in range(order)]
+    a3 = [r3.coeff_at(k) for k in range(order)]
+    assert a3 == [c if k % 2 else -c for k, c in enumerate(a1)]
+    assert a3 == _riccati(-1, order + 2)[:order]
 
 
 def test_lift_prefixes_are_stable():

@@ -7,9 +7,13 @@ the image leaves), its two linear forms per t against full products in
 that image, and a false survivor of the scan must be dropped by the exact
 confirmation; the certificate is exercised clean, byte-identical at three
 working orders, with one wrong term in the root table's S^2 row (caught
-at the residual check), and with two corrupted rewrite rules (one caught
-at the Siegel check with every check evaluating, one whose singular ring
-turns the checks that cannot evaluate to ERROR).
+at the residual check), with two corrupted rewrite rules (one caught at
+the Siegel check with every check evaluating, one whose singular ring
+turns the checks that cannot evaluate to ERROR), and with tampered
+conjugate tables (sigma2 and sigma4 swapped, caught at the Siegel check
+alone; a perturbed cube row, caught at the Galois composition).  The
+Siegel check's one sum G stands for every linear beta: the sums of three
+sampled betas, formed the long way, must equal x*sum(diff_i) - y*G.
 """
 
 import random
@@ -23,7 +27,7 @@ from thueff import laurent, quartic, search, valuations
 from thueff.bounds import EXPONENT_BUDGET
 from thueff.cli import render_json
 from thueff.errors import NotMonic, ReproductionFailure
-from thueff.polynomials import LAM, RatFunc
+from thueff.polynomials import LAM, Poly, RatFunc
 from thueff.quartic import norm, unit_from_exponents
 from thueff.search import (
     TRIVIAL_TRIPLES,
@@ -455,6 +459,109 @@ def test_galois_composition_forms_each_image_once(monkeypatch):
     cert = verify_theorem()
     assert {c.name: c.status for c in cert.checks}["galois-composition"] == "PASS"
     assert sorted(calls) == sorted([1, 2, 3, 4] * 5)
+
+
+# -- the Siegel check ----------------------------------------------------------------------
+
+#: The betas x - alpha*y whose Siegel sums are formed the long way.
+_SIEGEL_XY = ((Poly((3,)), Poly((1,))), (LAM, Poly((2,))), (1 + LAM, LAM**2))
+
+
+def _siegel_sums(order):
+    """For each beta of ``_SIEGEL_XY`` at the check's depth: the sampled
+    sum of embed_1(b_i)*diff_i over b_i = sigma_i(beta), the same sum as
+    x*sum(diff_i) - y*G, and G = the sum for beta = alpha."""
+    depth = max(order, 4) + 4
+    roots = tuple(row[1].truncate(depth - 4) for row in valuations._root_powers(depth))
+    diffs = (roots[1] - roots[2], roots[2] - roots[0], roots[0] - roots[1])
+
+    def siegel_sum(beta):
+        terms = [valuations.embed_series(quartic.galois(beta, i), 1, depth) * diff
+                 for i, diff in zip((1, 2, 3), diffs)]
+        return terms[0] + terms[1] + terms[2]
+
+    g = siegel_sum(quartic.ALPHA)
+    total = diffs[0] + diffs[1] + diffs[2]
+    for x, y in _SIEGEL_XY:
+        xs, ys = laurent.poly_series(x, depth + 8), laurent.poly_series(y, depth + 8)
+        yield siegel_sum(quartic.elem_from_xy(x, y)), xs * total - ys * g, g
+
+
+@pytest.mark.parametrize("order", [8, 128])
+def test_siegel_sums_of_the_sampled_betas_are_linear_in_g(order, monkeypatch):
+    # galois and embed_series are Q(lam)-linear and fix constants, so each
+    # sampled sum is x*sum(diff_i) - y*G, exactly; healthy it is zero to its
+    # order, under the -2 row resolved, and G with it.
+    for old, new, g in _siegel_sums(order):
+        assert (old.lead, old._w, old.order) == (new.lead, new._w, new.order)
+        assert not old.resolved and not g.resolved and old.order >= order - 2
+    monkeypatch.setattr(
+        quartic, "REWRITE_ROW", (RatFunc(-2), RatFunc(-LAM), RatFunc(6), RatFunc(LAM))
+    )
+    for old, new, g in _siegel_sums(order):
+        assert (old.lead, old._w, old.order) == (new.lead, new._w, new.order)
+        assert old.resolved and g.resolved and old.order >= order - 2
+
+
+@pytest.mark.parametrize("order", [8, 128])
+def test_siegel_check_embeds_three_elements(order, monkeypatch):
+    # G is formed once: embed_1 of sigma_1..3(alpha) at the check's depth,
+    # three embeddings for every linear beta at once.
+    verify_theorem(order=order)
+    depth = order + 4
+    original = valuations.embed_series
+    calls = []
+
+    def counting(a, i, at):
+        if at == depth:
+            calls.append((a, i))
+        return original(a, i, at)
+
+    monkeypatch.setattr(valuations, "embed_series", counting)
+    cert = verify_theorem(order=order)
+    assert {c.name: c.status for c in cert.checks}["siegel-identity"] == "PASS"
+    assert calls == [(quartic.galois(quartic.ALPHA, i), 1) for i in (1, 2, 3)]
+
+
+def _verify_with_conjugate_powers(edit):
+    """The check statuses of a verify whose ``galois`` reads the table of
+    conjugate powers as ``edit`` leaves it (a list of [E, powers] rows)."""
+    quartic.clear_caches()
+    tables = quartic._tables()
+    rows = [list(row) for row in tables.conjugate_powers]
+    edit(rows)
+    vars(tables)["conjugate_powers"] = tuple(map(tuple, rows))
+    try:
+        with pytest.raises(ReproductionFailure) as exc_info:
+            verify_theorem()
+    finally:
+        quartic.clear_caches()
+    return {c.name: c.status for c in exc_info.value.certificate.checks}
+
+
+def test_swapped_conjugates_are_caught_at_the_siegel_check_alone():
+    # sigma2 <-> sigma4 is the automorphism g -> g^-1 of the cyclic Galois
+    # group: the composition table still holds, and only the Siegel check,
+    # which compares the ring's conjugates with the series roots, sees it.
+    def swap(rows):
+        rows[1], rows[3] = rows[3], rows[1]
+
+    status = _verify_with_conjugate_powers(swap)
+    assert status["siegel-identity"] == "FAIL"
+    assert {n for n, s in status.items() if s != "PASS"} == {"siegel-identity"}
+    assert verify_theorem().passed
+
+
+def test_perturbed_cube_row_is_caught_at_the_galois_composition_check():
+    def bump(rows):
+        e, (p1, p2, p3) = rows[1]
+        cube = [list(n) for n in p3]
+        cube[0][0] += 1
+        rows[1] = [e, (p1, p2, cube)]
+
+    status = _verify_with_conjugate_powers(bump)
+    assert status["galois-composition"] == "FAIL"
+    assert verify_theorem().passed
 
 
 def test_tampered_square_row_is_caught_at_the_residual_check(monkeypatch):

@@ -311,8 +311,9 @@ def _series_route(a, i, order):
 
 
 def _siegel_betas():
-    """The three betas x - alpha*y of the verifier's Siegel check, with
-    the conjugates b1..b3 it embeds."""
+    """The conjugates b1..b3 of three betas x - alpha*y: linear forms over
+    Q(lam) with non-trivial conjugates, as embedding inputs (the Siegel
+    check itself embeds the conjugates of alpha)."""
     out = []
     for x, y in ((3, 1), (LAM, 2), (1 + LAM, LAM**2)):
         beta = quartic.elem_from_xy(x, y)
