@@ -24,12 +24,11 @@ from .errors import (
     ReproductionFailure,
     SingularSystem,
     ThueffError,
-    UndefinedGcd,
     ZeroDivisor,
     ZeroElement,
 )
 from .laurent import LaurentSeries, expand_ratfunc, quartic_roots
-from .polynomials import LAM, Poly, RatFunc, poly_gcd
+from .polynomials import LAM, Poly, RatFunc
 from .quartic import (
     ALPHA,
     RingElem,
@@ -77,7 +76,6 @@ __all__ = [
     "SingularSystem",
     "SolutionClass",
     "ThueffError",
-    "UndefinedGcd",
     "ValuationVector",
     "ZeroDivisor",
     "ZeroElement",
@@ -92,7 +90,6 @@ __all__ = [
     "height_infinity",
     "mason_abc_bound",
     "norm",
-    "poly_gcd",
     "quartic_roots",
     "resultant",
     "riemann_hurwitz_genus",

@@ -14,10 +14,6 @@ class ZeroDivisor(ThueffError, ZeroDivisionError):
     """Division (or inversion) by zero in an exact arithmetic domain."""
 
 
-class UndefinedGcd(ThueffError):
-    """gcd requested where it is not defined (both arguments zero)."""
-
-
 class PrecisionUnderflow(ThueffError):
     """A truncated-series computation cannot resolve the requested data.
 

@@ -21,7 +21,9 @@ so their windows and powers are even in t) multiply as their nonzero
 streams, series in t^2 at half the length.
 Truncation orders are tracked pessimistically through arithmetic; in
 particular a product of windows of orders m, n with leads p, q is only
-known to order min(p + n, q + m).
+known to order min(p + n, q + m).  The constructors: ``LaurentSeries``,
+``monomial`` (a constant c is c * monomial(0, order)), ``zero_to_order``,
+``poly_series`` and ``expand_ratfunc``.
 
 The quartic
 
@@ -268,11 +270,6 @@ def monomial(exponent: int, order: int) -> LaurentSeries:
     return _series(exponent, Poly((1,)), order)
 
 
-def constant(value, order: int) -> LaurentSeries:
-    """A constant as an exact series window [0, order)."""
-    return _series(0, Poly((value,)), order)
-
-
 def zero_to_order(order: int) -> LaurentSeries:
     return _series(order, ZERO, order)
 
@@ -357,5 +354,4 @@ def f_lambda_at_series(
     X^2 and X^3; X^4 is the one product it forms."""
     order = x.order + 8
     lam = monomial(-1, order)
-    one = constant(1, order)
-    return x2 * x2 - lam * x3 - x2.scale(6) + lam * x + one
+    return x2 * x2 - lam * x3 - x2.scale(6) + lam * x + monomial(0, order)

@@ -27,11 +27,11 @@ Outside values enter here and nowhere else: ``Poly`` takes int and
 ``Fraction``, ``Poly`` or ``RatFunc`` to N/D over Z[lam].  Both refuse a
 float, a ``Decimal`` or a string with TypeError.
 
-``Poly`` sums and products, the gcd, ``RatFunc`` arithmetic and the
-quartic ring's integer form all run on kernels over integer coefficient
-lists (``_int_add``, ``_int_mul``, ``_int_gcd``, ``_int_exquo``), and so
-does ``bareiss_det``, the fraction-free determinant of a matrix over
-Z[lam] behind ``bounds.resultant``.
+``Poly`` sums and products, ``RatFunc`` arithmetic with its canonical
+form and the quartic ring's integer form all run on kernels over integer
+coefficient lists (``_int_add``, ``_int_mul``, ``_int_gcd``,
+``_int_exquo``), and so does ``bareiss_det``, the fraction-free
+determinant of a matrix over Z[lam] behind ``bounds.resultant``.
 ``_int_mul_low``, behind ``Poly.mul_low``, is the short product that
 series windows use: the terms below a given power.  On short, sparse or
 lopsided operands it is a schoolbook loop that forms no term from that
@@ -40,12 +40,14 @@ terms of each into s-bit slots, forms two half-width integer products at
 x = +-2^(s/2) (Harvey's two-point Kronecker substitution) and reads the
 even and odd terms back from their half-sum and half-difference, with s
 from a proven growth envelope; two long windows that are each even or odd
-multiply as their nonzero streams, at half the length.  The gcd runs in an
-integer image: both lists evaluated at lam = 2^bits (``_at``), one integer
-gcd, its balanced base-2^bits digits read back (``_digits``) and the
-candidate accepted only when it divides both lists exactly, which also
-gives the two cofactors that ``_int_canon`` keeps; the quartic ring's
-products, inverses and norms use the same image and the same reader.
+multiply as their nonzero streams, at half the length.  The gcd
+``_int_gcd`` has no public wrapper: ``_int_canon`` and
+``_common_multiple`` call it.  It runs in an integer image: both lists
+evaluated at lam = 2^bits (``_at``), one integer gcd, its balanced
+base-2^bits digits read back (``_digits``) and the candidate accepted only
+when it divides both lists exactly, which also gives the two cofactors
+that ``_int_canon`` keeps; the quartic ring's products, inverses and norms
+use the same image and the same reader.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from fractions import Fraction
 from math import gcd as gcd_int, lcm
 from typing import Iterable, Sequence, Union
 
-from .errors import UndefinedGcd, ZeroDivisor
+from .errors import ZeroDivisor
 
 CoeffLike = Union[int, Fraction]
 
@@ -128,9 +130,6 @@ class Poly:
     def is_constant(self) -> bool:
         return len(self._n) <= 1
 
-    def is_monic(self) -> bool:
-        return bool(self._n) and self._n[-1] == self._d
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: Poly | CoeffLike) -> Poly:
@@ -179,13 +178,6 @@ class Poly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
         return Poly._of(_int_pow(self._n, n), self._d**n)
-
-    def monic(self) -> Poly:
-        """Scale to leading coefficient 1 (zero stays zero)."""
-        n = self._n
-        if not n or n[-1] == self._d:
-            return self
-        return Poly._of(list(n), n[-1])
 
     # -- windows ---------------------------------------------------------
 
@@ -615,26 +607,6 @@ def _int_canon(
     return tuple(tuple(n) for n in nums), tuple(den)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor.
-
-    Both arguments zero is undefined (UndefinedGcd).  A nonzero constant
-    anywhere collapses the answer to 1 immediately.  Otherwise the gcd of
-    the integer numerators comes from ``_int_gcd``, an integer gcd of
-    their values at lam = 2^bits read back as a polynomial and checked by
-    exact division, so no remainder sequence and no rational coefficient
-    is ever formed.
-    """
-    if not a and not b:
-        raise UndefinedGcd("gcd(0, 0) is undefined")
-    if not a:
-        return b.monic()
-    if not b:
-        return a.monic()
-    g = _int_gcd(a._n, b._n)[0]
-    return ONE if len(g) == 1 else Poly._of(g, g[-1])
-
-
 def bareiss_det(rows: list[list[list[int]]]) -> list[int]:
     """Fraction-free determinant of a square matrix over Z[lam].
 
@@ -815,7 +787,3 @@ def _as_ratfunc(x):
     if isinstance(x, (Poly, int, Fraction)):
         return RatFunc(x)
     return NotImplemented
-
-
-RF_ZERO = RatFunc(0)
-RF_ONE = RatFunc(1)

@@ -377,6 +377,6 @@ def _tables() -> _RowTables:
 
 
 def clear_caches() -> None:
-    """Drop the cached tables (a swapped REWRITE_ROW replaces them without this call)."""
+    """Drop the cached tables: perfbench's tamper fixture (a swapped row needs none)."""
     global _current
     _current = None

@@ -349,19 +349,10 @@ class Certificate(NamedTuple):
 
 def _series_agree_on_common_window(a, b) -> bool:
     """Equal coefficients at every exponent from the lower lead to the lower
-    order (False when that range is empty), compared as integer numerators:
-    each window's times the other's denominator, zero-padded to the range."""
-    lo = min(a.lead, b.lead)
-    hi = min(a.order, b.order)
-    if hi <= lo:
-        return False
-
-    def window(x, scale: int) -> list[int]:
-        k = min(x.lead, hi) - lo  # zeros before x's lead
-        n = [0] * k + [v * scale for v in x._w._n[: hi - lo - k]]
-        return n + [0] * (hi - lo - len(n))
-
-    return window(a, b._w._d) == window(b, a._w._d)
+    order (False when that range is empty): both cut to that order have one
+    canonical (lead, window, order), so the cut series compare equal."""
+    order = min(a.order, b.order)
+    return min(a.lead, b.lead) < order and a.truncate(order) == b.truncate(order)
 
 
 #: The pinned leading coefficients of the four series roots: (lead, window).
@@ -376,10 +367,13 @@ _EXPECTED_ROOT_WINDOWS = (
 def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certificate:
     """Re-derive the full solution pipeline and certify every step.
 
-    Raises ReproductionFailure (with the certificate attached) if any
+    Raises ValueError for an order outside 1..PRECISION_CAP, as the CLI
+    does, and ReproductionFailure (with the certificate attached) if any
     check reads FAIL or ERROR.  A MemoryError or RecursionError inside a
     check is not a verdict on the mathematics and propagates as it is.
     """
+    if not 1 <= order <= valuations.PRECISION_CAP:
+        raise ValueError(f"order must lie in 1..{valuations.PRECISION_CAP}, got {order}")
     checks: list[CheckResult] = []
     budget = bounds.EXPONENT_BUDGET
 

@@ -80,11 +80,6 @@ def _root_powers(order: int) -> tuple[tuple[LaurentSeries, ...], ...]:
     return tuple(table)
 
 
-def _int_series(n: tuple[int, ...], order: int) -> LaurentSeries:
-    """A Z[lam] coefficient list as an exact series to ``order``."""
-    return poly_series(Poly._of(list(n), 1), order)
-
-
 def embed_series(a: RingElem, i: int, order: int) -> LaurentSeries:
     """Image of ``a`` = sum N_j alpha^j / D under alpha -> the i-th root S:
     sum N_j S^j, scaled by 1/D, or times one series inverse of a non-constant D.
@@ -119,7 +114,8 @@ def embed_series(a: RingElem, i: int, order: int) -> LaurentSeries:
         acc[k:k + len(part)] = map(add, acc[k:k + len(part)], part)
     d = a._d
     if len(d) > 1:
-        return _series(low, Poly._of(acc, den), top) * _int_series(d, width).inv()
+        inv_d = poly_series(Poly._of(list(d), 1), width).inv()
+        return _series(low, Poly._of(acc, den), top) * inv_d
     return _series(low, Poly._of(acc, den * d[0]), top)
 
 
@@ -198,4 +194,6 @@ def vandermonde_report() -> VandermondeReport:
 
 
 def clear_caches() -> None:
+    """Drop the root table: perfbench's tamper fixture, and a cold table for
+    ``test_verifier_lifts_the_series_roots_once``."""
     _root_powers.cache_clear()

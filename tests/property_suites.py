@@ -8,6 +8,7 @@ the acceptance gate runs every battery at >= 1000 cases.
 
 import itertools
 import random
+from math import gcd
 
 from conftest import (
     rand_elem,
@@ -17,8 +18,7 @@ from conftest import (
     rand_series,
 )
 from thueff import quartic
-from thueff.polynomials import ONE as P_ONE
-from thueff.polynomials import Poly, RatFunc, poly_gcd
+from thueff.polynomials import RatFunc, _int_gcd
 from thueff.quartic import (
     elem_from_xy,
     f_lambda_eval,
@@ -38,9 +38,12 @@ RF_ONE = RatFunc(1)
 
 
 def _canonical(q: RatFunc) -> bool:
-    if not q:
-        return q.num == Poly(()) and q.den == P_ONE
-    return q.den.is_monic() and poly_gcd(q.num, q.den) == P_ONE
+    """N and D coprime over Q[lam] (the kernel ``_int_gcd``), integer content
+    1 and lc(D) > 0; zero is 0/1."""
+    n, d = q._n, q._d
+    if not n:
+        return d == (1,)
+    return _int_gcd(n, d)[0] == [1] and d[-1] > 0 and gcd(*n, *d) == 1
 
 
 def field_axioms(cases: int, seed: int = 101) -> int:

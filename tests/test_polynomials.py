@@ -28,13 +28,11 @@ import conftest
 import property_suites
 from thueff import polynomials
 from thueff.bounds import discriminant, resultant
-from thueff.errors import UndefinedGcd, ZeroDivisor
+from thueff.errors import ZeroDivisor
 from thueff.laurent import LaurentSeries, quartic_roots
 from thueff.polynomials import (
     LAM,
     ONE,
-    RF_ONE,
-    RF_ZERO,
     ZERO,
     Poly,
     RatFunc,
@@ -46,9 +44,10 @@ from thueff.polynomials import (
     _int_mul_low,
     _int_primitive,
     bareiss_det,
-    poly_gcd,
 )
 from thueff.quartic import ALPHA, RingElem, f_lambda_eval
+
+RF_ZERO, RF_ONE = RatFunc(0), RatFunc(1)
 
 
 # -- reference oracles (kept deliberately naive) -------------------------------
@@ -61,6 +60,17 @@ def euclid_gcd_reference(a: Poly, b: Poly) -> Poly:
     the package under test.
     """
     return Poly(ref_gcd(a.coeffs, b.coeffs))
+
+
+def monic(p: Poly) -> Poly:
+    """A nonzero polynomial over its leading coefficient."""
+    return p * (1 / p[p.degree])
+
+
+def kernel_gcd(a: Poly, b: Poly) -> Poly:
+    """The gcd kernel ``_int_gcd`` on two nonzero polynomials' integer
+    numerators, made monic to compare with ``euclid_gcd_reference``."""
+    return monic(Poly(_int_gcd(a._n, b._n)[0]))
 
 
 def permutation_det_reference(rows: list[list[Poly]]) -> Poly:
@@ -142,10 +152,12 @@ def assert_integer_canonical(p: Poly) -> None:
 
 
 def is_canonical(f: RatFunc) -> bool:
-    """Reduced form: monic denominator, coprime num/den, zero is 0/1."""
-    if not f.num:
-        return f.den == ONE
-    return f.den.is_monic() and poly_gcd(f.num, f.den) == ONE
+    """Reduced form: N and D coprime over Q[lam] (``_int_gcd``), integer
+    content 1, lc(D) > 0; zero is 0/1."""
+    n, d = f._n, f._d
+    if not n:
+        return d == (1,)
+    return _int_gcd(n, d)[0] == [1] and d[-1] > 0 and gcd(*n, *d) == 1
 
 
 # -- the integer representation against the Fraction-tuple reference -----------
@@ -181,7 +193,6 @@ def test_integer_kernel_matches_fraction_reference_random():
             (a - b, ref_sub(ra, rb)),
             (a * b, ref_mul(ra, rb)),
             (a.mul_low(b, k), _ref_trim(list(ref_mul(ra, rb)[: max(k, 0)]))),
-            (a.monic(), ref_monic(ra)),
         ):
             assert_integer_canonical(got)
             assert got.coeffs == want
@@ -198,8 +209,8 @@ def test_integer_kernel_matches_fraction_reference_random():
             else:
                 q = _int_exquo(a._n, p)
                 assert Poly(q) == Poly(rq) * Fraction(c * a._d, b._d)
-        if ra or rb:
-            g = poly_gcd(a, b)
+        if ra and rb:
+            g = kernel_gcd(a, b)
             assert_integer_canonical(g)
             assert g.coeffs == ref_gcd(ra, rb)
         cases += 1
@@ -617,11 +628,11 @@ def test_inexact_quotient_raises():
 
 
 def test_gcd_exact_factor():
-    assert poly_gcd(Poly((-1, 0, 1)), Poly((-1, 1))) == Poly((-1, 1))
+    assert _int_gcd([-1, 0, 1], [-1, 1]) == ([-1, 1], [1, 1], [1])
 
 
 def test_gcd_coprime_constant():
-    assert poly_gcd(LAM, ONE) == ONE
+    assert _int_gcd([0, 1], [1]) == ([1], [0, 1], [1])
 
 
 def test_gcd_content_does_not_leak():
@@ -631,18 +642,7 @@ def test_gcd_content_does_not_leak():
     b = Poly((0, 2))
     expected = euclid_gcd_reference(a, b)
     assert expected == ONE
-    assert poly_gcd(a, b) == expected
-
-
-def test_gcd_of_double_zero_raises():
-    with pytest.raises(UndefinedGcd):
-        poly_gcd(ZERO, ZERO)
-
-
-def test_gcd_one_zero_operand():
-    p = Poly((2, 4))
-    assert poly_gcd(p, ZERO) == p.monic()
-    assert poly_gcd(ZERO, p) == p.monic()
+    assert _int_gcd(a._n, b._n)[0] == [1]
 
 
 def test_gcd_matches_euclid_reference_random():
@@ -655,10 +655,12 @@ def test_gcd_matches_euclid_reference_random():
             a, b = g * u, g * v  # guaranteed common factor
         else:
             a, b = u, v
-        got = poly_gcd(a, b)
-        want = euclid_gcd_reference(a, b)
-        assert got == want
-        assert got.is_monic()
+        g, qa, qb = _int_gcd(a._n, b._n)
+        # primitive with a positive lead, and the two cofactors are exact
+        assert gcd(*g) == 1 and g[-1] > 0
+        assert _int_mul(g, qa) == list(a._n) and _int_mul(g, qb) == list(b._n)
+        got = monic(Poly(g))
+        assert got == euclid_gcd_reference(a, b)
         # the gcd divides both inputs exactly (the tuple oracle's remainder)
         for p in (a, b):
             assert ref_divmod(p.coeffs, got.coeffs)[1] == ()
@@ -679,16 +681,16 @@ def test_gcd_of_wide_polynomials_matches_euclid_reference():
     for trial in range(8):
         g = _wide_poly(rng, rng.randint(0, 4), rng.choice((8, 200, 260)))
         if trial % 4 == 0:
-            g = g.monic()
+            g = monic(g)
         u = _wide_poly(rng, rng.randint(10, 11), 210)
         v = _wide_poly(rng, rng.randint(10, 11), 230)
         cu, cv = (rng.randint(2, 2**120), rng.randint(2, 2**120)) if trial % 2 else (1, 1)
         a, b = g * u * cu, g * v * cv
         assert a.degree >= 10 and b.degree >= 10
-        got = poly_gcd(a, b)
+        got = kernel_gcd(a, b)
         assert got == euclid_gcd_reference(a, b)
         # random u, v are coprime, so the gcd is the planted factor
-        assert got == g.monic()
+        assert got == monic(g)
         h, qa, qb = _int_gcd(a._n, b._n)
         assert h == _int_primitive(g._n)
         assert _int_mul(h, qa) == list(a._n) and _int_mul(h, qb) == list(b._n)
@@ -714,7 +716,7 @@ def test_gcd_retries_after_an_unlucky_first_point(monkeypatch):
     with pytest.raises(ValueError):
         _int_exquo(a, first)
         _int_exquo(b, first)
-    assert poly_gcd(Poly(a), Poly(b)) == euclid_gcd_reference(Poly(a), Poly(b))
+    assert kernel_gcd(Poly(a), Poly(b)) == euclid_gcd_reference(Poly(a), Poly(b))
 
 
 @st.composite

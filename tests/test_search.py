@@ -332,6 +332,20 @@ def test_certificate_json_is_byte_identical_across_orders():
     assert texts[64] == texts[8] and texts[128] == texts[8]
 
 
+@pytest.mark.parametrize("order", [0, -3, 1025])
+def test_verify_refuses_the_orders_the_cli_refuses(order):
+    # 1..PRECISION_CAP, as ``--order``: 0 and -3 once ran silently at depth
+    # 8, and 1025 ran past the cap in process.
+    with pytest.raises(ValueError, match="1..1024"):
+        verify_theorem(order=order)
+
+
+def test_verify_passes_at_order_one():
+    cert = verify_theorem(order=1)
+    assert cert.passed and len(cert.checks) == 23
+    assert render_json(cert.to_json()) == render_json(verify_theorem().to_json())
+
+
 def test_certificate_json_shape():
     data = verify_theorem().to_json()
     assert data["triples_searched"] == 3871

@@ -90,7 +90,7 @@ def test_image_kernel_helpers_are_private():
     for name in ("_at", "_digits", "_int_gcd", "_int_exquo", "_int_mul_low"):
         assert callable(getattr(polynomials, name)), name
     expect = {
-        polynomials: {"bareiss_det", "poly_gcd"},
+        polynomials: {"bareiss_det"},
         quartic: {
             "clear_caches", "conjugates", "elem_from_xy", "f_lambda_eval", "galois",
             "min_poly_value", "norm", "ring_inv", "ring_mul", "ring_pow",
@@ -189,3 +189,5 @@ def test_public_exports_resolve():
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
     assert reexported == set(thueff.__all__)
+    # the test-only gcd wrapper and its error are gone from the package
+    assert not {"poly_gcd", "UndefinedGcd"} & set(dir(thueff))
