@@ -25,67 +25,39 @@ def render_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+# Each command returns its exit code, its JSON payload and its text; ``main``
+# renders the one that ``--format`` asks for.
 
 
-def _cmd_roots(args) -> int:
+def _cmd_roots(args) -> tuple[int, dict, str]:
     roots = laurent.quartic_roots(args.order)
-    if args.format == "json":
-        payload = {
-            "order": args.order,
-            "roots": [r.to_json() for r in roots],
-        }
-        _emit(render_json(payload), args.out)
-    else:
-        lines = [f"alpha_{i} = {r.pretty()}" for i, r in enumerate(roots, start=1)]
-        _emit("\n".join(lines), args.out)
-    return 0
+    payload = {"order": args.order, "roots": [r.to_json() for r in roots]}
+    lines = [f"alpha_{i} = {r.pretty()}" for i, r in enumerate(roots, start=1)]
+    return 0, payload, "\n".join(lines)
 
 
-def _cmd_bounds(args) -> int:
-    report = bounds.bound_report(args.a)
-    if args.format == "json":
-        _emit(render_json(report.to_json()), args.out)
-    else:
-        rows = report.to_json()
-        width = max(len(k) for k in rows)
-        lines = [f"{k.ljust(width)} = {v}" for k, v in rows.items()]
-        _emit("\n".join(lines), args.out)
-    return 0
+def _cmd_bounds(args) -> tuple[int, dict, str]:
+    rows = bounds.bound_report(args.a).to_json()
+    width = max(len(k) for k in rows)
+    return 0, rows, "\n".join(f"{k.ljust(width)} = {v}" for k, v in rows.items())
 
 
-def _cmd_search(args) -> int:
-    triples = search.admissible_exponents()
-    found = search._search_triples(triples, bounds.EXPONENT_BUDGET, args.jobs)
-    if args.format == "json":
-        payload = {
-            "triples_searched": len(triples),
-            "triples_found": [list(t) for t in found],
-        }
-        _emit(render_json(payload), args.out)
-    else:
-        lines = [f"triples searched: {len(triples)}"]
-        lines += [f"trivial unit at (r, s, t) = {t}" for t in found]
-        _emit("\n".join(lines), args.out)
-    return 0
+def _cmd_search(args) -> tuple[int, dict, str]:
+    searched = len(search.admissible_exponents())
+    found = search.search_trivial_units(bounds.EXPONENT_BUDGET, args.jobs)
+    payload = {"triples_searched": searched, "triples_found": [list(t) for t in found]}
+    lines = [f"triples searched: {searched}"]
+    lines += [f"trivial unit at (r, s, t) = {t}" for t in found]
+    return 0, payload, "\n".join(lines)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple[int, dict, str]:
     classes = search.solution_classes()
-    if args.format == "json":
-        _emit(render_json({"classes": [c.to_json() for c in classes]}), args.out)
-    else:
-        lines = [
-            f"{c.label}  with  xi = {c.xi_factor}·η^4   [unit exponents {c.triple}]"
-            for c in classes
-        ]
-        _emit("\n".join(lines), args.out)
-    return 0
+    lines = [
+        f"{c.label}  with  xi = {c.xi_factor}·η^4   [unit exponents {c.triple}]"
+        for c in classes
+    ]
+    return 0, {"classes": [c.to_json() for c in classes]}, "\n".join(lines)
 
 
 def _certificate_text(cert: search.Certificate) -> str:
@@ -101,22 +73,14 @@ def _certificate_text(cert: search.Certificate) -> str:
     return "\n".join(lines)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict, str]:
     try:
-        cert = search.verify_theorem(order=args.order, jobs=args.jobs)
+        cert, code = search.verify_theorem(order=args.order, jobs=args.jobs), 0
     except ReproductionFailure as exc:
-        cert = exc.certificate
-        if cert is None:
-            _emit(f"FAIL {exc}", args.out)
-            return 1
-        code = 1
-    else:
-        code = 0
-    if args.format == "json":
-        _emit(render_json(cert.to_json()), args.out)
-    else:
-        _emit(_certificate_text(cert), args.out)
-    return code
+        if exc.certificate is None:
+            raise
+        cert, code = exc.certificate, 1
+    return code, cert.to_json(), _certificate_text(cert)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,7 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code, payload, text = args.fn(args)
+        out = render_json(payload) if args.format == "json" else text
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out + "\n")
+        else:
+            print(out)
+        return code
     except ReproductionFailure:
         raise  # a failed reproduction is exit 1, not bad input
     except (ThueffError, OSError) as exc:

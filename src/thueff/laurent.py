@@ -39,14 +39,13 @@ dalpha/dlam = (1 + alpha^2)/(lam^2 + 16): in t every root solves the
 Riccati equation -(1 + 16t^2) S' = 1 + S^2, and the three roots with a
 constant lead are integer recurrences from the seeds 1, 0 and -1
 (``_riccati``); the equation is invariant under S(t) -> -S(-t), so
-alpha3(t) = -alpha1(-t) and only two recurrences run.  The fourth,
-alpha4 = -1/alpha2, is the image of alpha2 under z -> -1/z, one of the
-order-4 Moebius symmetries sigma(z) = (z - 1)/(z + 1) of f
-(``quartic_roots``).  The roots lie in
-Z[[t]] (alpha4 in t^-1 Z[[t]]): the reduced quartic's X-derivative is 1
-at X = 0, so alpha2 lifts over Z[[t]], and alpha3 = sigma(alpha2) and
-alpha1 = -1/alpha3 divide by series with constant term +-1, units of
-Z[[t]].
+alpha3(t) = -alpha1(-t).  The fourth root, alpha4 = 1/t + U(t), runs
+through the same recurrence with the pole 1/t (``quartic_roots``).  The
+roots lie in Z[[t]] (alpha4 in t^-1 Z[[t]]): the reduced quartic's
+X-derivative is 1 at X = 0, so alpha2 = -t(1 - 5t^2 + ...) lifts over
+Z[[t]]; alpha4 = -1/alpha2 (z -> -1/z is a symmetry of f) and
+alpha3 = (alpha2 - 1)/(alpha2 + 1), alpha1 = -1/alpha3 divide by series
+with constant term +-1, units of Z[[t]].
 """
 
 from __future__ import annotations
@@ -306,45 +305,51 @@ def expand_ratfunc(f: RatFunc, order: int) -> LaurentSeries:
 # -- the quartic and its series roots ------------------------------------------
 
 
-def _riccati(seed: int, n: int) -> list[int]:
-    """The first ``n`` coefficients a_k of the root S = sum a_k t^k of
-    -(1 + 16t^2) S' = 1 + S^2 with a_0 = ``seed``:
+def _riccati(seed: int, n: int, pole: int = 0) -> list[int]:
+    """The first ``n`` (at least two) coefficients a_k of the root
+    S = pole/t + sum a_k t^k of -(1 + 16t^2) S' = 1 + S^2 with a_0 = ``seed``,
+    the pole 0 or 1:
 
-        (k+1) a_{k+1} = -([k=0] + sum_{i+j=k} a_i a_j + 16(k-1) a_{k-1}).
+        (k+1+2*pole) a_{k+1} = -([k=0](1 - 16*pole) + sum_{i+j=k} a_i a_j
+                                 + 16(k-1) a_{k-1}),  i, j >= 0, a_{-1} = 0.
 
-    The division is exact for the seeds 1, 0 and -1: each gives a root of
-    the quartic (module docstring), which lies in Z[[t]], and the
-    recurrence fixes a_{k+1} from a_0..a_k, so by induction every a_{k+1}
-    is that integer.  The convolution runs over its symmetric half; n >= 2.
+    A pole adds 2 a_{k+1} to S^2 at t^k and -16t^2 * (-1/t^2) = 16 on the
+    left at t^0, and S^2 at t^-1, 2 a_0, must then be 0.  The division is
+    exact for the seeds 1, 0 and -1 and for the pole with seed 0: each gives
+    a root of the quartic (module docstring), in Z[[t]] or t^-1 Z[[t]], and
+    the recurrence fixes a_{k+1} from a_0..a_k, so by induction every
+    a_{k+1} is that integer.  The convolution runs over its symmetric half.
     """
-    a = [seed, -1 - seed * seed]
+    div = 1 + 2 * pole
+    a = [seed, (16 * pole - 1 - seed * seed) // div]
     for k in range(1, n - 1):
         h = (k + 1) // 2
         rhs = 2 * sum(map(mul, a[:h], a[k:k - h:-1])) + 16 * (k - 1) * a[k - 1]
         if k % 2 == 0:
             rhs += a[h] * a[h]
-        a.append(-rhs // (k + 1))
+        a.append(-rhs // (k + div))
     return a
 
 
 def quartic_roots(order: int) -> tuple[LaurentSeries, ...]:
     """All four series roots, each known through exponent ``order - 1``.
 
-    alpha1 and alpha2 are the Riccati windows with constant terms 1 and 0.
-    The Riccati equation is invariant under S(t) -> -S(-t), which maps the
+    alpha1 and alpha2 are the Riccati windows with constant terms 1 and 0,
+    and alpha4 = 1/t + U(t) the one with the pole, from U's seed 0.  The
+    Riccati equation is invariant under S(t) -> -S(-t), which maps the
     seed 1 to the seed -1, so alpha3(t) = -alpha1(-t): alpha1's window with
-    its even-index terms negated.  alpha4 = -1/alpha2.  The windows run two
-    orders deeper because inverting the lead-1 window alpha2 costs two
-    orders of knowledge.
+    its even-index terms negated.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    deep = order + 2
-    a1 = _riccati(1, deep)
+    a1 = _riccati(1, order)
     a3 = [-v for v in a1]
     a3[1::2] = a1[1::2]
-    r1, r2, r3 = (_series(0, Poly._of(a, 1), deep) for a in (a1, _riccati(0, deep), a3))
-    return r1.truncate(order), r2.truncate(order), r3.truncate(order), -r2.inv()
+    a4 = [1] + _riccati(0, order, pole=1)
+    return tuple(
+        _series(lead, Poly._of(a, 1), order)
+        for lead, a in ((0, a1), (0, _riccati(0, order)), (0, a3), (-1, a4))
+    )
 
 
 def f_lambda_at_series(

@@ -199,18 +199,12 @@ def search_trivial_units(
     The scan in the integer image rejects the rest; each survivor is
     confirmed with ``quartic.unit_from_exponents``.  The result is sorted
     lexicographically and does not depend on the enumeration order, on how
-    the triple space is partitioned, or on the choice of LAM0.
+    the triple space is partitioned, or on the choice of LAM0.  Raises
+    ValueError for fewer than one job, as the CLI's ``--jobs`` does.
     """
-    return _search_triples(admissible_exponents(budget), budget, jobs)
-
-
-def _is_linear(beta: quartic.RingElem) -> bool:
-    """c2 = c3 = 0, read off the canonical integer numerators (zero is ``()``)."""
-    return not beta._n[2] and not beta._n[3]
-
-
-def _search_triples(triples: list[Triple], budget: int, jobs: int) -> list[Triple]:
-    """``search_trivial_units`` on the box ``triples`` already enumerated at ``budget``."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    triples = _box(budget)
     limit = max(budget, 1)
     if jobs <= 1 or len(triples) < 64:
         survivors = _scan_chunk((limit, triples))
@@ -230,6 +224,11 @@ def _search_triples(triples: list[Triple], budget: int, jobs: int) -> list[Tripl
         if _is_linear(quartic.unit_from_exponents(*triple)):
             found.append(triple)
     return found
+
+
+def _is_linear(beta: quartic.RingElem) -> bool:
+    """c2 = c3 = 0, read off the canonical integer numerators (zero is ``()``)."""
+    return not beta._n[2] and not beta._n[3]
 
 
 # -- solution classes ----------------------------------------------------------
@@ -367,13 +366,16 @@ _EXPECTED_ROOT_WINDOWS = (
 def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certificate:
     """Re-derive the full solution pipeline and certify every step.
 
-    Raises ValueError for an order outside 1..PRECISION_CAP, as the CLI
-    does, and ReproductionFailure (with the certificate attached) if any
-    check reads FAIL or ERROR.  A MemoryError or RecursionError inside a
-    check is not a verdict on the mathematics and propagates as it is.
+    Raises ValueError, before any check runs, for an order outside
+    1..PRECISION_CAP or fewer than one job, as the CLI does, and
+    ReproductionFailure (with the certificate attached) if any check reads
+    FAIL or ERROR.  A MemoryError or RecursionError inside a check is not a
+    verdict on the mathematics and propagates as it is.
     """
     if not 1 <= order <= valuations.PRECISION_CAP:
         raise ValueError(f"order must lie in 1..{valuations.PRECISION_CAP}, got {order}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     checks: list[CheckResult] = []
     budget = bounds.EXPONENT_BUDGET
 
@@ -571,7 +573,7 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
     found: list[Triple] = []
 
     def scan() -> list[Triple]:
-        found.extend(_search_triples(triples, budget, jobs))
+        found.extend(search_trivial_units(budget, jobs))
         return found
 
     check(

@@ -5,7 +5,8 @@ convolution and the inverse recurrence (a cross-check of the series
 arithmetic on ``Poly``'s integer kernel and its short products), and the
 defining equation itself: every series root is substituted back into the
 quartic, on the series kernel and on the Fraction windows, and the
-residual must be zero through the advertised precision. Pinned windows
+residual must be zero through the advertised precision. alpha4 from its
+pole recurrence is checked against Newton's -1/alpha2. Pinned windows
 cover the geometric series, the four root expansions, rational-function
 expansion, precision bookkeeping and the error surface.
 """
@@ -342,10 +343,13 @@ def test_root_residuals_vanish_in_the_fraction_reference():
 
 def test_riccati_recurrence_holds_exactly_on_the_integer_windows():
     # (k+1) a_{k+1} = -([k=0] + sum_{i+j=k} a_i a_j + 16(k-1) a_{k-1}) for
-    # alpha1, alpha2, alpha3 as equalities of integers, the convolution in
-    # full: a floor-divided step with a remainder would break one of them.
+    # alpha1, alpha2, alpha3, and for alpha4 = 1/t + U(t) in pole form
+    # (k+3) u_{k+1} = 15 [k=0] - sum_{i+j=k} u_i u_j - 16(k-1) u_{k-1} with
+    # u_0 = 0, as equalities of integers, the convolution in full: a
+    # floor-divided step with a remainder would break one of them.
     n = 256
-    for s in quartic_roots(n)[:3]:
+    roots = quartic_roots(n)
+    for s in roots[:3]:
         a = [s.coeff_at(k) for k in range(n)]
         assert all(c.denominator == 1 for c in a)
         for k in range(n - 1):
@@ -353,6 +357,34 @@ def test_riccati_recurrence_holds_exactly_on_the_integer_windows():
             if k:
                 rhs += 16 * (k - 1) * a[k - 1]
             assert (k + 1) * a[k + 1] == -rhs, k
+    alpha4 = roots[3]
+    assert alpha4.lead == -1 and alpha4.coeff_at(-1) == 1 and alpha4.order == n
+    u = [alpha4.coeff_at(k) for k in range(n)]
+    assert all(c.denominator == 1 for c in u) and u[0] == 0
+    for k in range(n - 1):
+        rhs = 15 * (k == 0) - sum(u[i] * u[k - i] for i in range(k + 1))
+        if k:
+            rhs -= 16 * (k - 1) * u[k - 1]
+        assert (k + 3) * u[k + 1] == rhs, k
+
+
+@pytest.mark.parametrize("order", [8, 132, 512, 1024])
+def test_alpha4_from_the_recurrence_is_minus_the_inverse_of_alpha2(order):
+    # Newton's inverse is the reference: alpha4 = -1/alpha2, with alpha2
+    # two orders deeper, since inverting its lead-1 window costs two orders.
+    alpha2 = quartic_roots(order + 2)[1]
+    assert quartic_roots(order)[3] == -alpha2.inv()
+
+
+@pytest.mark.parametrize("order", [1, 8, 132])
+def test_quartic_roots_form_no_series_inverse(monkeypatch, order):
+    expected = quartic_roots(order)
+
+    def refuse(self):
+        raise AssertionError("quartic_roots formed a series inverse")
+
+    monkeypatch.setattr(LaurentSeries, "inv", refuse)
+    assert quartic_roots(order) == expected
 
 
 @pytest.mark.parametrize("order", [132, 512])

@@ -32,8 +32,6 @@ UNREACHED = {
     "errors:ReproductionFailure.__init__": "carries the certificate of a failed reproduction",
     "search:Certificate.failed_names": "names the red checks of a failed verify",
     # public entry points, constructors and properties
-    "search:search_trivial_units": "the public scan (acceptance criterion 8); the CLI and "
-    "verify call _search_triples on the box they have already enumerated",
     "laurent:LaurentSeries.__init__": "the public constructor; the pipeline builds through _series",
     "laurent:LaurentSeries.valuation": "public property; the pipeline reads lead once resolved",
     "laurent:zero_to_order": "the zero input of expand_ratfunc and poly_series",
@@ -44,6 +42,8 @@ UNREACHED = {
     "quartic:clear_caches": "perfbench's tamper fixture",
     "valuations:clear_caches": "perfbench's tamper fixture; a cold root table for "
     "test_verifier_lifts_the_series_roots_once",
+    "laurent:LaurentSeries.inv": "non-constant denominators in embed_series and "
+    "expand_ratfunc, the reference for alpha4 in the tests, and perfbench's series_inv counter",
     "polynomials:RatFunc.__add__": "field operator; perfbench counts it (ratfunc_add)",
     "polynomials:RatFunc.__truediv__": "field operator; perfbench's ring-algebra inputs use it",
     # operators of the public types

@@ -340,6 +340,22 @@ def test_verify_refuses_the_orders_the_cli_refuses(order):
         verify_theorem(order=order)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_verify_and_the_scan_refuse_fewer_than_one_job(monkeypatch, jobs):
+    # As ``--jobs``: both once ran silently as one job.  The verifier
+    # refuses before its first check reads the root table, so the refusal
+    # is not turned into an ERROR check.
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        search_trivial_units(jobs=jobs)
+
+    def no_check(order):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(valuations, "_root_powers", no_check)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        verify_theorem(jobs=jobs)
+
+
 def test_verify_passes_at_order_one():
     cert = verify_theorem(order=1)
     assert cert.passed and len(cert.checks) == 23
@@ -453,6 +469,17 @@ def test_verifier_lifts_the_series_roots_once(monkeypatch):
     orders.clear()
     verify_theorem()
     assert orders == []
+
+
+def test_cold_verify_forms_no_series_inverse(monkeypatch):
+    # The root table comes from the Riccati recurrences alone, and no
+    # embedding the verifier forms has a non-constant denominator.
+    def refuse(self):
+        raise AssertionError("verify formed a series inverse")
+
+    monkeypatch.setattr(laurent.LaurentSeries, "inv", refuse)
+    valuations.clear_caches()
+    assert verify_theorem(order=128).passed
 
 
 def test_galois_composition_forms_each_image_once(monkeypatch):
