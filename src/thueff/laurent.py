@@ -319,6 +319,8 @@ def _riccati(seed: int, n: int, pole: int = 0) -> list[int]:
     a root of the quartic (module docstring), in Z[[t]] or t^-1 Z[[t]], and
     the recurrence fixes a_{k+1} from a_0..a_k, so by induction every
     a_{k+1} is that integer.  The convolution runs over its symmetric half.
+    ``quartic_roots`` runs it for alpha1; with the seed 0 it is the
+    reference of ``_riccati_odd``.
     """
     div = 1 + 2 * pole
     a = [seed, (16 * pole - 1 - seed * seed) // div]
@@ -331,11 +333,40 @@ def _riccati(seed: int, n: int, pole: int = 0) -> list[int]:
     return a
 
 
+def _riccati_odd(n: int, pole: int = 0) -> list[int]:
+    """``_riccati(0, n, pole)`` as a recurrence in t^2 at half the length.
+
+    With the seed 0 every even-index a_k is 0: at an even k + 1 each term
+    of the recurrence holds an even-index factor, so induction gives
+    a_{k+1} = 0.  The odd-index terms b_m = a_{2m+1} then solve the
+    recurrence at k = 2m, whose convolution pairs odd indices only:
+
+        (2m+1+2*pole) b_m = -([m=0](1 - 16*pole) + sum_{p+q=m-1} b_p b_q
+                              + 16(2m-1) b_{m-1}),  b_{-1} = 0.
+
+    Returns the first max(n, 2) coefficients a_k, zeros included.
+    """
+    size = max(n, 2)
+    div = 1 + 2 * pole
+    b = [(16 * pole - 1) // div]
+    for m in range(1, size // 2):
+        c = m - 1
+        h = (c + 1) // 2
+        rhs = 2 * sum(map(mul, b[:h], b[c:c - h:-1])) + 16 * (2 * m - 1) * b[c]
+        if c % 2 == 0:
+            rhs += b[h] * b[h]
+        b.append(-rhs // (2 * m + div))
+    a = [0] * size
+    a[1::2] = b
+    return a
+
+
 def quartic_roots(order: int) -> tuple[LaurentSeries, ...]:
     """All four series roots, each known through exponent ``order - 1``.
 
     alpha1 and alpha2 are the Riccati windows with constant terms 1 and 0,
-    and alpha4 = 1/t + U(t) the one with the pole, from U's seed 0.  The
+    and alpha4 = 1/t + U(t) the one with the pole, from U's seed 0; alpha2
+    and U are odd in t and run at half length (``_riccati_odd``).  The
     Riccati equation is invariant under S(t) -> -S(-t), which maps the
     seed 1 to the seed -1, so alpha3(t) = -alpha1(-t): alpha1's window with
     its even-index terms negated.
@@ -345,10 +376,10 @@ def quartic_roots(order: int) -> tuple[LaurentSeries, ...]:
     a1 = _riccati(1, order)
     a3 = [-v for v in a1]
     a3[1::2] = a1[1::2]
-    a4 = [1] + _riccati(0, order, pole=1)
+    a4 = [1] + _riccati_odd(order, pole=1)
     return tuple(
         _series(lead, Poly._of(a, 1), order)
-        for lead, a in ((0, a1), (0, _riccati(0, order)), (0, a3), (-1, a4))
+        for lead, a in ((0, a1), (0, _riccati_odd(order)), (0, a3), (-1, a4))
     )
 
 

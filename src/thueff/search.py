@@ -12,7 +12,16 @@ whose power-basis coordinates satisfy c2 = c3 = 0.  The height chain in
 (budget 10 certifies every lam; each coordinate is bounded by the budget,
 so the box enumeration loses nothing).  The scan runs in the image of
 the ring's integer numerators under lam -> LAM0, where a ring element is
-four integers multiplied by ``quartic._image_mul``.  For a fixed t, c2 and
+four integers multiplied by ``quartic._image_mul``.  Evaluation at LAM0 is
+a ring homomorphism for every integer LAM0, and every survivor is
+confirmed exactly, so LAM0 bears on cost alone.  At LAM0 = 7 the scan's
+table entries have at most 41 bits (212 at LAM0 = 1234567), so its dot
+products stay near 80 bits, and it still keeps exactly the four trivial
+triples at budgets 10, 12 and 14.  Smaller values let false survivors
+through, each one costing an exact confirmation: LAM0 = 0 keeps 20 at
+budget 10, and over 400 random rewrite rows with coefficients -3..3 of
+degree <= 1, LAM0 = 2 and 3 each kept over 50 in more than a dozen rows,
+where 7 kept none.  For a fixed t, c2 and
 c3 of x * (alpha + 1)**t are two linear forms in the image of x, so each
 triple costs two dot products against the (r, s) part; a nonzero c2 or c3
 rules a triple out, and every survivor is confirmed in the exact ring.
@@ -32,7 +41,7 @@ from typing import NamedTuple
 
 from . import bounds, laurent, quartic, valuations
 from .errors import ReproductionFailure
-from .polynomials import LAM, RatFunc
+from .polynomials import LAM, Poly, RatFunc
 
 Triple = tuple[int, int, int]
 
@@ -109,7 +118,7 @@ def _box(budget: int) -> tuple[Triple, ...]:
 # integers of the same image, so the test rejects exactly the triples
 # whose full product has a nonzero c2 or c3 in the image.
 
-LAM0 = 1234567
+LAM0 = 7
 
 Image = tuple[int, int, int, int]
 
@@ -354,6 +363,18 @@ def _series_agree_on_common_window(a, b) -> bool:
     return min(a.lead, b.lead) < order and a.truncate(order) == b.truncate(order)
 
 
+def _reflected(a, sign: int):
+    """sign * a(-t), known where a is: the terms at odd exponents negated.
+
+    The roots' lam -> -lam symmetry, read off their windows: the checks
+    that rely on it test it on the windows they are given."""
+    w = a._w
+    n = [sign * v for v in w._n]
+    k = (a.lead + 1) % 2  # the first index at an odd exponent
+    n[k::2] = [-v for v in n[k::2]]
+    return laurent._series(a.lead, Poly._of(n, w._d), a.order)
+
+
 #: The pinned leading coefficients of the four series roots: (lead, window).
 _EXPECTED_ROOT_WINDOWS = (
     (0, (1, -2, 2, 8)),
@@ -412,9 +433,15 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
     check("roots-match-expansions", "leading windows of all four roots", roots_match)
 
     # Substituting each root back into the quartic leaves no visible term;
-    # S^2 and S^3 come from the same table rows as the roots.
+    # S^2 and S^3 come from the same table rows as the roots.  f(-X, -lam)
+    # = f(X, lam), so once alpha3's row (S, S^2, S^3) is alpha1's reflected,
+    # S(t) -> -S(-t), f(alpha3)(t) = f(alpha1)(-t): alpha3's residual is
+    # alpha1's reflected, and is not formed.
     def residuals_vanish() -> bool:
-        residuals = [laurent.f_lambda_at_series(*row[1:]) for row in rows]
+        if rows[2][1:] != tuple(_reflected(p, sign) for p, sign
+                                in zip(rows[0][1:], (-1, 1, -1))):
+            return False
+        residuals = [laurent.f_lambda_at_series(*rows[i][1:]) for i in (0, 1, 3)]
         return all(not r.resolved and r.order >= 1 for r in residuals)
 
     check("roots-residuals-vanish", "f(root) is zero to its computable order",
@@ -469,12 +496,14 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
         # sum_i embed_1(b_i)*diff_i is x*sum_i diff_i - y*G with
         # G = sum_i embed_1(sigma_i(alpha))*diff_i, and sum_i diff_i
         # telescopes to exactly zero.  So the sum vanishes for every x and
-        # every y != 0 iff G does.
-        diffs = (roots[1] - roots[2], roots[2] - roots[0], roots[0] - roots[1])
-        g = None
-        for i, diff in zip((1, 2, 3), diffs):
-            term = valuations.embed_series(quartic.galois(alpha, i), 1, depth) * diff
-            g = term if g is None else g + term
+        # every y != 0 iff G does.  The same telescoping, diff_3 =
+        # -diff_1 - diff_2, and linearity again give
+        # G = embed_1(sigma_1(alpha) - sigma_3(alpha))*diff_1
+        #   + embed_1(sigma_2(alpha) - sigma_3(alpha))*diff_2,
+        # two embeddings and two products.
+        s1, s2, s3 = (quartic.galois(alpha, i) for i in (1, 2, 3))
+        g = (valuations.embed_series(s1 - s3, 1, depth) * (roots[1] - roots[2])
+             + valuations.embed_series(s2 - s3, 1, depth) * (roots[2] - roots[0]))
         return not g.resolved
 
     check("siegel-identity", "b1(a2-a3) + b2(a3-a1) + b3(a1-a2) = 0", siegel_holds)
@@ -524,8 +553,17 @@ def verify_theorem(order: int = laurent.DEFAULT_ORDER, jobs: int = 1) -> Certifi
         lambda: disc == RatFunc(4 * (LAM * LAM + 16) ** 3),
     )
 
+    # With dij = roots[j] - roots[i], the product of the six differences
+    # is formed as in ``valuations.root_difference_product``, but for
+    # d03 d12: once alpha3 is alpha1 reflected and alpha2, alpha4 are odd
+    # in t, lam -> -lam sends d01 to d12 and d23 to -d03, so
+    # d03 d12 = -(d01 d23)(-t).
     def disc_series_agree() -> bool:
-        det = valuations.root_difference_product(roots)
+        r0, r1, r2, r3 = roots
+        if (r2, r1, r3) != (_reflected(r0, -1), _reflected(r1, -1), _reflected(r3, -1)):
+            return False
+        p = (r1 - r0) * (r3 - r2)
+        det = (p * _reflected(p, -1)) * ((r2 - r0) * (r3 - r1))
         det_sq = det * det
         disc_series = laurent.expand_ratfunc(disc, det_sq.order)
         return _series_agree_on_common_window(det_sq, disc_series)

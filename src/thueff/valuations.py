@@ -25,10 +25,12 @@ in lam, and S3 = (S2 - 1)/(S2 + 1), S1 = -1/S3, so lam -> -lam sends
 (S1, S2, S3, S4) to (-S3, -S2, -S1, -S4): d02 is even, d13 odd, and
 d01 d23 goes to -d12 d03.  S1 S3 = S2 S4 = -1 and e2 = -6 give
 (S1 + S3)(S2 + S4) = -4, so d01 d23 = -2 - S1 S4 - S2 S3 = d03 d12, and
-that pair is odd.  Of the five products at the verifier's order-128 depth
-only the two that form the first two pairs are dense; the other three
-multiply parity-pure windows, on ``_int_mul_low``'s half-length path or
-by the schoolbook loop that skips their zeros.
+that pair is odd.  Of the five products only the two that form the first
+two pairs are dense; the other three multiply parity-pure windows, on
+``_int_mul_low``'s half-length path or by the schoolbook loop that skips
+their zeros.  The verifier's discriminant check forms the same grouping
+with one dense product: once it has checked the symmetry on the roots it
+reads d03 d12 off d01 d23 as -(d01 d23)(-t).
 
 Substituting a truncated root series can only vanish to finite order for
 a nonzero element, so leads are resolved by adaptive doubling of the

@@ -6,7 +6,8 @@ arithmetic on ``Poly``'s integer kernel and its short products), and the
 defining equation itself: every series root is substituted back into the
 quartic, on the series kernel and on the Fraction windows, and the
 residual must be zero through the advertised precision. alpha4 from its
-pole recurrence is checked against Newton's -1/alpha2. Pinned windows
+pole recurrence is checked against Newton's -1/alpha2, and the
+half-length recurrences of the odd roots against the full one. Pinned windows
 cover the geometric series, the four root expansions, rational-function
 expansion, precision bookkeeping and the error surface.
 """
@@ -23,6 +24,7 @@ from thueff.errors import PrecisionUnderflow, ZeroDivisor
 from thueff.laurent import (
     LaurentSeries,
     _riccati,
+    _riccati_odd,
     expand_ratfunc,
     f_lambda_at_series,
     monomial,
@@ -385,6 +387,19 @@ def test_quartic_roots_form_no_series_inverse(monkeypatch, order):
 
     monkeypatch.setattr(LaurentSeries, "inv", refuse)
     assert quartic_roots(order) == expected
+
+
+@pytest.mark.parametrize("n", [8, 132, 1024])
+def test_odd_riccati_is_the_full_recurrence(n):
+    # alpha2 (seed 0) and alpha4's U (seed 0, pole) are odd in t: the
+    # half-length recurrence in t^2 gives the full recurrence's list, its
+    # zeros at even indices included, and quartic_roots builds both from it.
+    _, alpha2, _, alpha4 = quartic_roots(n)
+    for pole, root in ((0, alpha2), (1, alpha4)):
+        full = _riccati(0, n, pole)
+        assert _riccati_odd(n, pole) == full
+        assert not any(full[0::2]) and all(full[1::2])
+        assert [root.coeff_at(k) for k in range(n)] == full[:n]
 
 
 @pytest.mark.parametrize("order", [132, 512])

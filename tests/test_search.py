@@ -5,13 +5,17 @@ written before anything else is trusted. The scan's integer image is
 checked against the images of exact units (up to the one nonzero factor
 the image leaves), its two linear forms per t against full products in
 that image, and a false survivor of the scan must be dropped by the exact
-confirmation; the certificate is exercised clean, byte-identical at three
-working orders, with one wrong term in the root table's S^2 row (caught
-at the residual check), with two corrupted rewrite rules (one caught at
-the Siegel check with every check evaluating, one whose singular ring
-turns the checks that cannot evaluate to ERROR), and with tampered
-conjugate tables (sigma2 and sigma4 swapped, caught at the Siegel check
-alone; a perturbed cube row, caught at the Galois composition).  The
+confirmation; the scan's result must not depend on the evaluation point
+LAM0.  The certificate is exercised clean, byte-identical at three
+working orders, with one wrong term in the root table's S^2 row or in
+alpha3's row, or alpha3 built wrong (caught at the residual check), with
+an even term in an odd root or roots that break the lam -> -lam
+symmetry (caught at the discriminant check), with two corrupted rewrite
+rules (one caught at the Siegel check with every check evaluating, one
+whose singular ring turns the checks that cannot evaluate to ERROR), and
+with tampered conjugate tables (sigma2 and sigma4 swapped, caught at the
+Siegel check alone; a perturbed cube row, caught at the Galois
+composition).  The
 Siegel check's one sum G stands for every linear beta: the sums of three
 sampled betas, formed the long way, must equal x*sum(diff_i) - y*G.
 """
@@ -23,7 +27,7 @@ import pytest
 
 import conftest
 
-from thueff import laurent, quartic, search, valuations
+from thueff import laurent, polynomials, quartic, search, valuations
 from thueff.bounds import EXPONENT_BUDGET
 from thueff.cli import render_json
 from thueff.errors import NotMonic, ReproductionFailure
@@ -157,6 +161,23 @@ def test_exact_confirmation_drops_a_false_modular_survivor(monkeypatch):
     extra = [(2, 0, 0), (0, 3, 0)]
     monkeypatch.setattr(search, "_scan_chunk", lambda payload: scan(payload) + extra)
     assert search_trivial_units() == list(TRIVIAL_TRIPLES)
+
+
+@pytest.mark.parametrize("lam0", [0, 2, 7, 1234567])
+def test_search_does_not_depend_on_lam0(lam0, monkeypatch):
+    # Evaluation at any integer is a ring homomorphism and every survivor
+    # is confirmed exactly, so LAM0 bears on cost alone.  At 0 the image
+    # keeps 20 triples, and the exact confirmation drops 16 of them.
+    monkeypatch.setattr(search, "LAM0", lam0)
+    monkeypatch.setattr(search, "_scan_cache", None)
+    survivors = search._scan_chunk((EXPONENT_BUDGET, search._box(EXPONENT_BUDGET)))
+    assert len(survivors) == (20 if lam0 == 0 else 4)
+    assert search_trivial_units() == list(TRIVIAL_TRIPLES)
+
+
+def test_shipped_lam0_keeps_exactly_the_four_trivial_triples_in_the_image():
+    for budget in (10, 14):
+        assert search._scan_chunk((budget, search._box(budget))) == list(TRIVIAL_TRIPLES)
 
 
 def test_scan_refuses_a_rewrite_row_outside_z_lam(monkeypatch):
@@ -545,9 +566,10 @@ def test_siegel_sums_of_the_sampled_betas_are_linear_in_g(order, monkeypatch):
 
 
 @pytest.mark.parametrize("order", [8, 128])
-def test_siegel_check_embeds_three_elements(order, monkeypatch):
-    # G is formed once: embed_1 of sigma_1..3(alpha) at the check's depth,
-    # three embeddings for every linear beta at once.
+def test_siegel_check_embeds_two_differences(order, monkeypatch):
+    # G is formed once, as embed_1(sigma_1(alpha) - sigma_3(alpha))*diff_1
+    # + embed_1(sigma_2(alpha) - sigma_3(alpha))*diff_2 at the check's
+    # depth: two embeddings for every linear beta at once.
     verify_theorem(order=order)
     depth = order + 4
     original = valuations.embed_series
@@ -561,7 +583,27 @@ def test_siegel_check_embeds_three_elements(order, monkeypatch):
     monkeypatch.setattr(valuations, "embed_series", counting)
     cert = verify_theorem(order=order)
     assert {c.name: c.status for c in cert.checks}["siegel-identity"] == "PASS"
-    assert calls == [(quartic.galois(quartic.ALPHA, i), 1) for i in (1, 2, 3)]
+    s1, s2, s3 = (quartic.galois(quartic.ALPHA, i) for i in (1, 2, 3))
+    assert calls == [(s1 - s3, 1), (s2 - s3, 1)]
+
+
+def test_warm_deep_verify_forms_at_most_four_long_packed_products(monkeypatch):
+    # The residual check reads f(alpha3) off f(alpha1) and the
+    # discriminant check d03 d12 off d01 d23, both by reflection, and G
+    # takes two products: a warm order-128 verify packs at most 9
+    # products, at most 4 of them at full length (12 and 6 before).
+    verify_theorem(order=128)
+    original = polynomials._packed_mul_low
+    lengths = []
+
+    def counting(a, b, n):
+        lengths.append(n)
+        return original(a, b, n)
+
+    monkeypatch.setattr(polynomials, "_packed_mul_low", counting)
+    assert verify_theorem(order=128).passed
+    assert len(lengths) <= 9
+    assert sum(n >= 128 for n in lengths) <= 4
 
 
 def _verify_with_conjugate_powers(edit):
@@ -605,23 +647,107 @@ def test_perturbed_cube_row_is_caught_at_the_galois_composition_check():
     assert verify_theorem().passed
 
 
-def test_tampered_square_row_is_caught_at_the_residual_check(monkeypatch):
-    # The residual check reads S^2 from the root table: one wrong term in
-    # the first root's S^2 row must turn it red, with S itself untouched.
+def _statuses_with_root_rows(monkeypatch, edit):
+    """The check statuses of a verify whose root table rows are ``edit``ed
+    (a list of the four (None, S, S^2, S^3) rows, at the table's order)."""
     original = valuations._root_powers
 
     def tampered(order):
-        rows = list(original(order))
-        _, s, s2, s3 = rows[0]
-        rows[0] = (None, s, s2 + laurent.monomial(s2.lead + 1, s2.order), s3)
-        return tuple(rows)
+        rows = [list(row) for row in original(order)]
+        edit(rows)
+        return tuple(map(tuple, rows))
 
     monkeypatch.setattr(valuations, "_root_powers", tampered)
     with pytest.raises(ReproductionFailure) as exc_info:
         verify_theorem()
-    status = {c.name: c.status for c in exc_info.value.certificate.checks}
+    return {c.name: c.status for c in exc_info.value.certificate.checks}
+
+
+def test_tampered_square_row_is_caught_at_the_residual_check(monkeypatch):
+    # The residual check reads S^2 from the root table: one wrong term in
+    # the first root's S^2 row must turn it red, with S itself untouched.
+    def bump(rows):
+        s2 = rows[0][2]
+        rows[0][2] = s2 + laurent.monomial(s2.lead + 1, s2.order)
+
+    status = _statuses_with_root_rows(monkeypatch, bump)
     assert status["roots-residuals-vanish"] == "FAIL"
     assert status["roots-match-expansions"] == "PASS"
+
+
+@pytest.mark.parametrize("power", [1, 2, 3])
+def test_tampered_alpha3_row_is_caught_at_the_residual_check(power, monkeypatch):
+    # f(alpha3) is alpha1's residual reflected and is not formed: the check
+    # first compares alpha3's row with alpha1's reflected, so one wrong term
+    # in alpha3's S, S^2 or S^3 turns it red.
+    def bump(rows):
+        p = rows[2][power]
+        rows[2][power] = p + laurent.monomial(p.lead + 5, p.order)
+
+    status = _statuses_with_root_rows(monkeypatch, bump)
+    assert status["roots-residuals-vanish"] == "FAIL"
+    assert status["roots-match-expansions"] == "PASS"
+
+
+@pytest.mark.parametrize("root", [1, 3])
+def test_even_term_in_an_odd_root_is_caught_at_the_discriminant_check(root, monkeypatch):
+    # The discriminant check reads d03 d12 off d01 d23 by lam -> -lam; it
+    # first checks that alpha2 and alpha4 are odd in t, so an even-index
+    # term added to either turns it red.
+    def bump(rows):
+        s = rows[root][1]
+        rows[root][1] = s + laurent.monomial(4, s.order)
+
+    status = _statuses_with_root_rows(monkeypatch, bump)
+    assert status["discriminant-series-crosscheck"] == "FAIL"
+    assert status["roots-match-expansions"] == "PASS"
+
+
+def test_discriminant_check_refuses_roots_that_break_the_symmetry(monkeypatch):
+    # Shifting all four roots by 1 leaves every difference, and so the
+    # squared product, as it was; but alpha3 is then no longer alpha1
+    # reflected, so d03 d12 may not be read off d01 d23, and the check's
+    # own symmetry test turns it red.
+    def shift(rows):
+        for row in rows:
+            row[1] = row[1] + laurent.monomial(0, row[1].order)
+
+    status = _statuses_with_root_rows(monkeypatch, shift)
+    assert status["discriminant-series-crosscheck"] == "FAIL"
+
+
+@pytest.mark.parametrize("wrong", ["reflected-wrongly", "one-deep-term"])
+def test_alpha3_built_wrong_in_quartic_roots_is_caught_at_the_residual_check(
+    wrong, monkeypatch
+):
+    # alpha3 leaves quartic_roots as alpha1 with its odd-index terms negated
+    # (alpha1(-t), which is no root of f), or with its last term off by
+    # one; the residual check, whose reflection is its own, turns red.
+    original = laurent.quartic_roots
+
+    def built_wrong(order):
+        r1, r2, r3, r4 = original(order)
+        a = [int(c) for c in (r1 if wrong == "reflected-wrongly" else r3).coeffs]
+        if wrong == "reflected-wrongly":
+            a[1::2] = [-v for v in a[1::2]]
+        else:
+            a[-1] += 1
+        return r1, r2, laurent.LaurentSeries(0, a, order), r4
+
+    monkeypatch.setattr(valuations, "quartic_roots", built_wrong)
+    valuations.clear_caches()
+    try:
+        with pytest.raises(ReproductionFailure) as exc_info:
+            verify_theorem()
+    finally:
+        monkeypatch.undo()
+        valuations.clear_caches()
+    status = {c.name: c.status for c in exc_info.value.certificate.checks}
+    assert status["roots-residuals-vanish"] == "FAIL"
+    assert status["roots-match-expansions"] == (
+        "FAIL" if wrong == "reflected-wrongly" else "PASS"
+    )
+    assert verify_theorem().passed
 
 
 def test_tampered_rewrite_rule_is_caught_at_the_siegel_check():
