@@ -53,6 +53,7 @@ use the same image and the same reader.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd as gcd_int, lcm
 from typing import Iterable, Sequence, Union
 
@@ -583,7 +584,7 @@ def _int_canon(
         return ((),) * len(nums), (1,)
     den = _trim(den)
     if len(den) == 1 and den[0] == 1:
-        return tuple(tuple(n) for n in nums), (1,)
+        return tuple(map(tuple, nums)), (1,)
     if len(den) > 1:
         # quos: D (key -1) and the N_i met so far, each over g, their gcd;
         # the next step's gcd h divides g, so each is multiplied by g / h
@@ -598,13 +599,13 @@ def _int_canon(
         if len(g) > 1:
             den = quos.pop(-1)
             nums = [quos.get(k, n) for k, n in enumerate(nums)]
-    c = gcd_int(*den, *(v for n in nums for v in n))
+    c = gcd_int(*den, *chain.from_iterable(nums))
     if den[-1] < 0:
         c = -c
     if c != 1:
         nums = [[v // c for v in n] for n in nums]
         den = [v // c for v in den]
-    return tuple(tuple(n) for n in nums), tuple(den)
+    return tuple(map(tuple, nums)), tuple(den)
 
 
 def bareiss_det(rows: list[list[list[int]]]) -> list[int]:

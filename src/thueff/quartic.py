@@ -26,9 +26,15 @@ multiplication by a along its first row: its cofactors give the inverse
 by Cramer's rule, and its determinant over D^4 is the norm N(a).  Both
 run on plain ints at lam = 2^bits, bits from a proven coefficient bound
 (Kronecker substitution; von zur Gathen & Gerhard, *Modern Computer
-Algebra*, 8.4), with the rule's integer form from the current
+Algebra*, 8.4), and so does the Galois action: a's numerators at 2^bits
+times the images of the conjugate's powers, with bits from the bound
+4AH proved in ``galois``.  The bounds read an element's height (the
+largest 1-norm of N0..N3), which ``_height`` computes once and keeps on
+the element.  The rule's integer form comes from the current
 ``REWRITE_ROW``: a swapped tuple (as in fault-injection tests) acts on
-the next product.  The row must lie in Z[lam] (``NotMonic`` otherwise):
+the next product.  The tables of one row keep its image, and the images
+of the conjugates' powers, per width bits, so a product evaluates only
+its operands.  The row must lie in Z[lam] (``NotMonic`` otherwise):
 f is then monic over Z[lam], and folding never leaves Z[lam].  The
 defining quartic is invariant under the order-4 Moebius map
 z -> (z - 1)/(z + 1), so its four roots inside K are
@@ -74,7 +80,8 @@ IntList = list[int]
 class RingElem:
     """c0 + c1*alpha + c2*alpha^2 + c3*alpha^3, held as (N0..N3) / D over Z[lam]."""
 
-    __slots__ = ("_n", "_d")
+    #: _h, the largest 1-norm of N0..N3, is set by ``_height`` on first use.
+    __slots__ = ("_n", "_d", "_h")
 
     def __init__(self, c0=0, c1=0, c2=0, c3=0):
         """From four coefficients (0 if left out): int, Fraction, Poly or RatFunc."""
@@ -116,6 +123,8 @@ class RingElem:
         if not isinstance(other, RingElem):
             other = RingElem(other)
         da, db = self._d, other._d
+        if da == db:
+            return _canon([_int_add(x, y) for x, y in zip(self._n, other._n)], da)
         return _canon(
             [_int_add(_int_mul(x, db), _int_mul(y, da)) for x, y in zip(self._n, other._n)],
             _int_mul(da, db),
@@ -164,29 +173,42 @@ ALPHA = RingElem(0, 1)
 
 
 def _images(bound: int, *elems: RingElem) -> tuple[int, list[list[int]]]:
-    """bits whose digits hold every size <= bound; the row's and elems' images at 2^bits."""
+    """bits whose digits hold every size <= bound, and elems' images at lam = 2^bits."""
     bits = bound.bit_length() + 1
-    return bits, [[_at(n, 1 << bits) for n in e._n] for e in (_tables().row, *elems)]
+    x = 1 << bits
+    return bits, [[_at(n, x) for n in e._n] for e in elems]
 
 
-def _height(nums) -> int:
-    """The largest 1-norm of the Z[lam] lists nums."""
-    return max(sum(map(abs, n)) for n in nums)
+def _height(a: RingElem) -> int:
+    """The largest 1-norm of a's numerators N0..N3, kept on a once computed."""
+    try:
+        return a._h
+    except AttributeError:
+        h = a._h = max(sum(map(abs, n)) for n in a._n)
+        return h
 
 
 def _image_mul(a, b, row) -> tuple[int, int, int, int]:
-    """Product in an integer image of the ring: convolve, fold with the row's image."""
-    vec = [0] * 7
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                vec[i + j] += x * y
-    for k in (6, 5, 4):
-        c = vec[k]
-        if c:
-            for j in range(4):
-                vec[k - 4 + j] += c * row[j]
-    return tuple(vec[:4])
+    """Product in an integer image of the ring: the seven-term convolution,
+    then alpha^6, alpha^5 and alpha^4 folded with the row's image."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    r0, r1, r2, r3 = row
+    v0 = a0 * b0
+    v1 = a0 * b1 + a1 * b0
+    v2 = a0 * b2 + a1 * b1 + a2 * b0
+    v3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0
+    v4 = a1 * b3 + a2 * b2 + a3 * b1
+    v5 = a2 * b3 + a3 * b2
+    v6 = a3 * b3
+    v5 += v6 * r3
+    v4 += v6 * r2 + v5 * r3
+    return (
+        v0 + v4 * r0,
+        v1 + v5 * r0 + v4 * r1,
+        v2 + v6 * r0 + v5 * r1 + v4 * r2,
+        v3 + v6 * r1 + v5 * r2 + v4 * r3,
+    )
 
 
 def ring_mul(a: RingElem, b: RingElem) -> RingElem:
@@ -198,8 +220,10 @@ def ring_mul(a: RingElem, b: RingElem) -> RingElem:
     (|.| <= 4AB), and each of three folds, entry k-4+j += c*r_j, grows the
     largest |.| at most (1 + R)-fold (``growth`` = (1 + R)^3): 4AB(1 + R)^3.
     """
-    bits, (row, x, y) = _images(4 * _height(a._n) * _height(b._n) * _tables().growth, a, b)
-    return _canon([_digits(v, bits) for v in _image_mul(x, y, row)], _int_mul(a._d, b._d))
+    tables = _tables()
+    bits, (x, y) = _images(4 * _height(a) * _height(b) * tables.growth, a, b)
+    product = _image_mul(x, y, tables.row_image(bits))
+    return _canon([_digits(v, bits) for v in product], _int_mul(a._d, b._d))
 
 
 def _cramer(a: RingElem) -> tuple[int, tuple[int, int, int, int], int]:
@@ -215,7 +239,9 @@ def _cramer(a: RingElem) -> tuple[int, tuple[int, int, int, int], int]:
     ``ring_mul``'s terms column k has |.| <= A(1+R)^k: det (24 products of one
     entry a column) and a cofactor (6 of three; A >= 1 if a != 0) <= 24A^4(1+R)^6.
     """
-    bits, (row, *cols) = _images(24 * _height(a._n) ** 4 * _tables().growth ** 2, a)
+    tables = _tables()
+    bits, cols = _images(24 * _height(a) ** 4 * tables.growth ** 2, a)
+    row = tables.row_image(bits)
     for _ in range(3):
         c0, c1, c2, top = cols[-1]
         cols.append([top * row[0], c0 + top * row[1], c1 + top * row[2], c2 + top * row[3]])
@@ -265,18 +291,27 @@ def conjugates() -> tuple[RingElem, RingElem, RingElem, RingElem]:
 
 
 def galois(a: RingElem, i: int) -> RingElem:
-    """Apply the i-th automorphism (alpha -> i-th conjugate), i in 1..4."""
+    """Apply the i-th automorphism (alpha -> i-th conjugate), i in 1..4.
+
+    With the conjugate's powers a_i^k = P_k / E over Z[lam] (k = 1..3), the
+    image of a = (N0 + ... + N3 alpha^3) / D is (N0 E + sum N_k P_k) / (D E),
+    formed at lam = 2^bits and read back by ``_digits``.  The bound, in
+    ``ring_mul``'s terms (a 1-norm bounds the coefficients, |mn| <= |m||n|):
+    with A the largest |N_k| and H the largest 1-norm of E and the P_k's
+    coordinates, each coordinate of the numerator sums at most four products
+    (N0 E and three N_k P_k), each of 1-norm <= AH: 4AH.
+    """
     if i not in (1, 2, 3, 4):
         raise ValueError(f"automorphism index must be 1..4, got {i}")
     if i == 1:
         return a
-    e, powers = _tables().conjugate_powers[i - 1]
-    out = [_int_mul(a._n[0], e), [], [], []]
-    for c, p in zip(a._n[1:], powers):
-        if c:
-            for j in range(4):
-                out[j] = _int_add(out[j], _int_mul(c, p[j]))
-    return _canon(out, _int_mul(list(a._d), e))
+    tables = _tables()
+    bits, ((a0, a1, a2, a3),) = _images(4 * _height(a) * tables.conjugate_heights[i - 1], a)
+    e, (p1, p2, p3) = tables.conjugate_images(i, bits)
+    out = [a1 * x + a2 * y + a3 * z for x, y, z in zip(p1, p2, p3)]
+    out[0] += a0 * e
+    den = _int_mul(a._d, tables.conjugate_powers[i - 1][0])
+    return _canon([_digits(v, bits) for v in out], den)
 
 
 def norm(a: RingElem) -> RatFunc:
@@ -329,7 +364,16 @@ class _RowTables:
         if self.row._d != (1,):
             raise NotMonic("the rewrite row must lie in Z[lam]")
         self._unit_powers = {(which, 0): ONE for which in range(3)}
+        self._row_images: dict[int, list[int]] = {}
+        self._conjugate_images: dict[tuple[int, int], tuple] = {}
         self.growth = (1 + sum(sum(map(abs, r)) for r in self.row._n)) ** 3
+
+    def row_image(self, bits: int) -> list[int]:
+        """The row's image at lam = 2^bits, memoized per bits."""
+        image = self._row_images.get(bits)
+        if image is None:
+            image = self._row_images[bits] = [_at(n, 1 << bits) for n in self.row._n]
+        return image
 
     @cached_property
     def conjugates(self) -> tuple[RingElem, RingElem, RingElem, RingElem]:
@@ -348,6 +392,27 @@ class _RowTables:
             nums, e = _int_clear([(n, p._d) for p in powers for n in p._n])
             table.append((e, tuple(nums[k:k + 4] for k in (0, 4, 8))))
         return tuple(table)
+
+    @cached_property
+    def conjugate_heights(self) -> tuple[int, ...]:
+        """Per conjugate: the largest 1-norm of its E and its powers' numerators."""
+        return tuple(
+            max(sum(map(abs, n)) for n in (e, *(n for p in powers for n in p)))
+            for e, powers in self.conjugate_powers
+        )
+
+    def conjugate_images(self, i: int, bits: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """E's and a_i^1..a_i^3's numerators' images at lam = 2^bits, memoized per (i, bits)."""
+        key = (i, bits)
+        images = self._conjugate_images.get(key)
+        if images is None:
+            x = 1 << bits
+            e, powers = self.conjugate_powers[i - 1]
+            images = self._conjugate_images[key] = (
+                _at(e, x),
+                tuple(tuple(_at(n, x) for n in p) for p in powers),
+            )
+        return images
 
     @cached_property
     def unit_bases(self) -> tuple[tuple[RingElem, RingElem], ...]:

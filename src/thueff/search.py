@@ -158,21 +158,21 @@ def _linear_forms(
     return forms
 
 
-#: (row tables, limit, what ``_scan_tables`` returns) of the last scan.
+#: ((row tables, LAM0, limit), what ``_scan_tables`` returns) of the last scan.
 _scan_cache: tuple | None = None
 
 
 def _scan_tables(limit: int):
     """``_power_tables(limit)``'s row image and powers, and the forms of its
-    third table, built once per ``quartic._tables()`` object and limit: a
-    swapped row or ``quartic.clear_caches()`` builds them anew."""
+    third table, built once per ``quartic._tables()`` object, LAM0 and
+    limit: a swapped row, ``quartic.clear_caches()`` or another LAM0
+    builds them anew."""
     global _scan_cache
-    tables = quartic._tables()
-    cached = _scan_cache
-    if cached is None or cached[0] is not tables or cached[1] != limit:
+    key = (quartic._tables(), LAM0, limit)
+    if _scan_cache is None or _scan_cache[0] != key:
         row, powers = _power_tables(limit)
-        cached = _scan_cache = (tables, limit, (row, powers, _linear_forms(row, powers[2])))
-    return cached[2]
+        _scan_cache = (key, (row, powers, _linear_forms(row, powers[2])))
+    return _scan_cache[1]
 
 
 def _scan_chunk(payload: tuple[int, list[Triple]]) -> list[Triple]:

@@ -12,11 +12,12 @@ different routes.
 
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings, strategies as st, target
 from sympy.polys.matrices import DomainMatrix
 
 import conftest
@@ -24,7 +25,7 @@ import property_suites
 import ring_oracle
 from thueff import quartic
 from thueff.errors import NotMonic, ZeroDivisor
-from thueff.polynomials import LAM, ONE as P_ONE, Poly, RatFunc, _int_gcd, _int_mul
+from thueff.polynomials import LAM, ONE as P_ONE, Poly, RatFunc, _int_add, _int_gcd, _int_mul
 from thueff.quartic import (
     ALPHA,
     ONE,
@@ -541,24 +542,24 @@ _QQ_LAM = sympy.QQ.frac_field(_SYM_LAM)
 
 def _sym_fraction(n, d=(1,)):
     """The Z[lam] lists n / d as an element of sympy's QQ(lam)."""
-    num, den = (sympy.Poly(list(x)[::-1] or [0], _SYM_LAM, domain=sympy.ZZ) for x in (n, d))
-    return _QQ_LAM.from_sympy(num.as_expr() / den.as_expr())
+    field = _QQ_LAM.field
+    return field.new(*(field.ring.from_list(list(x)[::-1]) for x in (n, d)))
 
 
 @st.composite
-def _cramer_elements(draw):
-    """Numerators N0..N3 in Z[lam] of degree 0-8 (some zero, N0 never),
-    with coefficients of 1-256 bits, each list of one sign or alternating,
-    over D = 1 or a non-constant D."""
-    bits = draw(st.integers(1, 256))
+def _elements(draw, degree=8, bits=256):
+    """Numerators N0..N3 in Z[lam] of degree 0-``degree`` (some zero, N0
+    never), with coefficients of 1-``bits`` bits, each list of one sign or
+    alternating, over D = 1 or a non-constant D."""
+    bits = draw(st.integers(1, bits))
     size = st.integers(1 << (bits - 1), (1 << bits) - 1)
 
     def numerator(may_vanish):
         if may_vanish and draw(st.integers(0, 3)) == 0:
             return []
-        degree = draw(st.integers(0, 8))
+        deg = draw(st.integers(0, degree))
         sign, alternate = draw(st.sampled_from((1, -1))), draw(st.booleans())
-        mags = draw(st.lists(size, min_size=degree + 1, max_size=degree + 1))
+        mags = draw(st.lists(size, min_size=deg + 1, max_size=deg + 1))
         return [sign * (-1) ** (i * alternate) * m for i, m in enumerate(mags)]
 
     nums = [numerator(k > 0) for k in range(4)]
@@ -581,7 +582,7 @@ def test_cramer_against_sympy():
     seen = set()  # (non-constant D, coefficients above 128 bits)
 
     @settings(derandomize=True, database=None, max_examples=30, deadline=None)
-    @given(_cramer_elements())
+    @given(_elements())
     def check(case):
         nums, den = case
         a = quartic._canon([list(n) for n in nums], list(den))
@@ -598,6 +599,210 @@ def test_cramer_against_sympy():
 
     check()
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+_SYM_ALPHA = sympy.Symbol("alpha")
+
+
+def _sym_element(a):
+    """a's numerators as a polynomial in alpha over QQ(lam), and D."""
+    nums = [_sym_fraction(n) for n in a._n[::-1]]
+    return sympy.Poly.from_list(nums, _SYM_ALPHA, domain=_QQ_LAM), _sym_fraction(a._d)
+
+
+def _sym_coordinates(p, den):
+    """The four power-basis coordinates of p / den, p of degree < 4 in alpha."""
+    coords = [c / den for c in p.rep.to_list()[::-1]]
+    return coords + [_QQ_LAM.zero] * (4 - len(coords))
+
+
+def test_ring_mul_and_galois_against_sympy():
+    # an outside oracle for ``ring_mul`` and ``galois``: a product is the
+    # remainder modulo f over QQ(lam), and sigma_i substitutes alpha ->
+    # sigma_i(alpha), each power reduced modulo f.  f is written from the
+    # paper's equation, and sympy inverts alpha + 1 and alpha modulo f.
+    lam, x = _SYM_LAM, _SYM_ALPHA
+    f = sympy.Poly(x**4 - lam * x**3 - 6 * x**2 + lam * x + 1, x, domain=_QQ_LAM)
+    alpha = sympy.Poly(x, x, domain=_QQ_LAM)
+    sigma2 = ((alpha - 1) * (alpha + 1).invert(f)).rem(f)
+    sigmas = {2: sigma2, 3: -alpha.invert(f), 4: -sigma2.invert(f)}
+    powers = {i: [(s**k).rem(f) for k in (1, 2, 3)] for i, s in sigmas.items()}
+    seen = set()  # (non-constant D, coefficients above 256 bits)
+
+    @settings(derandomize=True, database=None, max_examples=24, deadline=None)
+    @given(st.tuples(_elements(16, 512), _elements(16, 512)))
+    def check(cases):
+        a, b = (quartic._canon([list(n) for n in nums], list(den)) for nums, den in cases)
+        (pa, da), (pb, db) = _sym_element(a), _sym_element(b)
+        want = _sym_coordinates((pa * pb).rem(f), da * db)
+        assert [_sym_fraction(c._n, c._d) for c in ring_mul(a, b).coeffs] == want
+        n0, n1, n2, n3 = (sympy.Poly([_sym_fraction(v)], x, domain=_QQ_LAM) for v in a._n)
+        for i, (p1, p2, p3) in powers.items():
+            want = _sym_coordinates(n0 + n1 * p1 + n2 * p2 + n3 * p3, da)
+            assert [_sym_fraction(c._n, c._d) for c in galois(a, i).coeffs] == want
+        for e in (a, b):
+            seen.add((len(e._d) > 1, max(map(abs, chain(*e._n))).bit_length() > 256))
+
+    check()
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# -- worst cases of the image widths ---------------------------------------------------
+
+#: Kernel -> (input, slack): the input whose read-back comes closest to the
+#: width its proven bound gives, and by how many bits it stays below.  A
+#: bound cut by more than the slack reads this input back wrong; a cut by
+#: less changes the slack.  Found by the ``target()`` search below, and by
+#: exhaustive passes that found none closer: ``_cramer`` and ``galois`` over
+#: every element whose coordinates are 0 or +-lam^m (m <= 4), ``ring_mul``
+#: over every pair whose coordinates are 0, +-1 or +-lam.
+_WORST_WIDTHS = {
+    "ring_mul": ((RingElem(0, 0, 0, 1), RingElem(0, 0, 0, 1)), 6),  # alpha^3 * alpha^3
+    "_cramer": ((RingElem(0, 1, 0, 1),), 16),  # the inverse of alpha + alpha^3
+    "galois2": ((RingElem(0, 0, 0, 1),), 2),  # sigma_i(alpha^3)
+    "galois3": ((RingElem(0, 0, 0, 1),), 2),
+    "galois4": ((RingElem(0, 0, 0, 1),), 2),
+}
+
+
+def _image_kernel(name):
+    """(the kernel, its ``ring_oracle`` value) of one ``_WORST_WIDTHS`` entry."""
+    if name == "ring_mul":
+        return ring_mul, lambda a, b: ring_oracle.mul(a.coeffs, b.coeffs)
+    if name == "_cramer":
+        return ring_inv, lambda a: ring_oracle.inv(a.coeffs)
+    i = int(name[-1])
+    return (lambda a: galois(a, i)), (lambda a: ring_oracle.galois(a.coeffs, i))
+
+
+def _width_gap(monkeypatch, kernel, *args):
+    """kernel(*args), and the width its read-back needs minus the width it
+    used (<= 0): balanced digits of w bits hold [-2^(w-1), 2^(w-1))."""
+    reads = []
+    digits = quartic._digits
+
+    def logged(v, bits):
+        reads.append((bits, digits(v, bits)))
+        return reads[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quartic, "_digits", logged)
+        out = kernel(*args)
+    (bits,) = {bits for bits, _ in reads}
+    need = max((v if v >= 0 else ~v).bit_length() + 1 for _, read in reads for v in read)
+    return out, need - bits
+
+
+@pytest.mark.parametrize("name", sorted(_WORST_WIDTHS))
+def test_pinned_worst_case_of_each_image_width(monkeypatch, name):
+    args, slack = _WORST_WIDTHS[name]
+    kernel, oracle = _image_kernel(name)
+    galois(ALPHA, 2)  # the conjugate tables, built before any width is read
+    out, gap = _width_gap(monkeypatch, kernel, *args)
+    assert out.coeffs == oracle(*args)
+    assert gap == -slack
+
+
+@st.composite
+def _small_elements(draw):
+    """Elements whose numerators have degree <= 3 and coefficients of one
+    size up to 2^40, each coefficient of either sign or 0."""
+    size = draw(st.integers(0, 40))
+    coeff = st.integers(1, 1 << size).flatmap(lambda m: st.sampled_from((m, -m, 0)))
+    nums = [draw(st.lists(coeff, max_size=4)) for _ in range(4)]
+    return quartic._canon(nums, [1])
+
+
+def test_image_width_search_finds_no_input_closer_than_the_pinned_ones(monkeypatch):
+    # a ``target()`` search on the width a read-back needs over the width
+    # its bound gives finds nothing closer than the pinned inputs
+    galois(ALPHA, 2)
+    worst = {name: -10**9 for name in _WORST_WIDTHS}
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(_small_elements().filter(bool), _small_elements().filter(bool))
+    def check(a, b):
+        for name in _WORST_WIDTHS:
+            kernel, _ = _image_kernel(name)
+            _, gap = _width_gap(monkeypatch, kernel, *((a, b) if name == "ring_mul" else (a,)))
+            target(gap, label=name)
+            worst[name] = max(worst[name], gap)
+            assert gap <= -_WORST_WIDTHS[name][1], name
+
+    check()
+    # and it comes within one bit of each pinned input
+    assert all(worst[name] >= -slack - 1 for name, (_, slack) in _WORST_WIDTHS.items()), worst
+
+
+# -- state the image kernels keep -----------------------------------------------------
+
+
+def test_kept_height_is_the_one_norm_of_every_derived_element():
+    # ``_height`` computes the largest 1-norm once and keeps it on the
+    # element: it must match a fresh count on every way an element is made.
+    rng = random.Random(20261022)
+    for _ in range(40):
+        a = conftest.rand_elem(rng, max_deg=2, nonzero=True, rational_every=4)
+        b = conftest.rand_elem(rng, max_deg=1, rational_every=4)
+        quartic._height(a)  # kept on a before -a, a + b, ... are formed
+        raw = RingElem._raw(a._n, a._d)
+        for e in (a, -a, a + b, a - b, ring_mul(a, b), a * 3, ring_inv(a), galois(a, 2), raw):
+            assert quartic._height(e) == max(sum(map(abs, n)) for n in e._n) == e._h
+
+
+def test_equal_denominator_sum_is_the_cross_multiplied_sum():
+    # Over one denominator D the numerators add directly; the canonical
+    # form makes that the value of the sum over D^2 with cross products.
+    rng = random.Random(20261023)
+    same = 0
+    for n in range(120):
+        a = conftest.rand_elem(rng, max_deg=2 if n % 8 == 0 else 1, rational_every=4)
+        b = conftest.rand_elem(rng, max_deg=1, rational_every=4)
+        if n % 2:
+            d = RatFunc(1, conftest.rand_poly(rng, max_deg=2, nonzero=True))
+            a, b = a * d, b * d
+        da, db = list(a._d), list(b._d)
+        crossed = quartic._canon(
+            [_int_add(_int_mul(x, db), _int_mul(y, da)) for x, y in zip(a._n, b._n)],
+            _int_mul(da, db),
+        )
+        assert a + b == crossed and (a + b)._n == crossed._n and (a + b)._d == crossed._d
+        same += a._d == b._d and len(a._d) > 1
+    assert same >= 20
+
+
+def test_swapped_row_is_imaged_afresh_at_widths_the_old_tables_kept(monkeypatch):
+    # The images of the row and of the conjugates' powers are kept per
+    # width on the tables of one row; after a swap, a width the old tables
+    # had kept must be served from the new row, never from the old images.
+    base = RingElem(1, -LAM_RF, 2, LAM_RF)
+    for k in range(1, 400):  # the healthy tables image every width in a range
+        a = base * k
+        ring_mul(a, a), ring_inv(a), [galois(a, i) for i in (2, 3, 4)]
+    old = quartic._tables()
+    row = (RatFunc(-2), RatFunc(-LAM), RatFunc(6), RatFunc(LAM))
+    monkeypatch.setattr(quartic, "REWRITE_ROW", row)
+    galois(ALPHA, 2)  # builds the new row's conjugates before the widths are logged
+    conj = ring_oracle.conjugates()
+    widths = []
+    digits = quartic._digits
+    monkeypatch.setattr(quartic, "_digits", lambda v, bits: widths.append(bits) or digits(v, bits))
+    reused = set()
+    for a in (base * k for k in (3, 20, 150)):
+        kernels = {
+            "mul": (lambda: ring_mul(a, a), ring_oracle.mul(a.coeffs, a.coeffs), old._row_images),
+            "inv": (lambda: ring_inv(a), ring_oracle.inv(a.coeffs), old._row_images),
+        }
+        for i in (2, 3, 4):
+            kept = {bits for j, bits in old._conjugate_images if j == i}
+            want = ring_oracle.galois(a.coeffs, i, conj)
+            kernels[f"galois{i}"] = (lambda i=i: galois(a, i), want, kept)
+        for name, (kernel, want, kept) in kernels.items():
+            widths.clear()
+            assert kernel().coeffs == want, name
+            reused.update(name for bits in set(widths) if bits in kept)
+    assert quartic._tables() is not old
+    assert reused == {"mul", "inv", "galois2", "galois3", "galois4"}
 
 
 # -- randomized batteries at smoke size ------------------------------------------------

@@ -169,10 +169,22 @@ def test_search_does_not_depend_on_lam0(lam0, monkeypatch):
     # is confirmed exactly, so LAM0 bears on cost alone.  At 0 the image
     # keeps 20 triples, and the exact confirmation drops 16 of them.
     monkeypatch.setattr(search, "LAM0", lam0)
-    monkeypatch.setattr(search, "_scan_cache", None)
     survivors = search._scan_chunk((EXPONENT_BUDGET, search._box(EXPONENT_BUDGET)))
     assert len(survivors) == (20 if lam0 == 0 else 4)
     assert search_trivial_units() == list(TRIVIAL_TRIPLES)
+
+
+def test_scan_tables_follow_a_changed_lam0(monkeypatch):
+    # The scan's tables are images at LAM0: after a scan at the shipped
+    # LAM0, a scan at 0 must build them anew, with no hand-cleared cache.
+    box = search._box(EXPONENT_BUDGET)
+    assert search._scan_chunk((EXPONENT_BUDGET, box)) == list(TRIVIAL_TRIPLES)
+    kept = search._scan_cache
+    monkeypatch.setattr(search, "LAM0", 0)
+    assert search._scan_cache is kept
+    assert len(search._scan_chunk((EXPONENT_BUDGET, box))) == 20
+    monkeypatch.undo()
+    assert search._scan_chunk((EXPONENT_BUDGET, box)) == list(TRIVIAL_TRIPLES)
 
 
 def test_shipped_lam0_keeps_exactly_the_four_trivial_triples_in_the_image():
